@@ -20,28 +20,22 @@ from .kam import (
     NeighborSet,
     SeparationConfig,
     build_soft_mask,
-    knn_baseline,
     median_estimate,
     separate,
 )
-from .shiftkam import knn_shift_exhaustive, median_estimate_shifted, shift_frame
+from .shiftkam import knn_shift_exhaustive, shift_frame
 from .specmurt import (
     ShiftEstimate,
-    SpecmurtFrame,
     estimate_shift_deconv,
     knn_specmurt,
     knn_specmurt_pruned,
-    specmurt_transform,
 )
 from .synth import interference_clip, synthesize_note
 from .timefreq import (
     ComplexSpectrogram,
-    MagSpectrogram,
     TransformParams,
-    apply_mask_and_resynthesize,
     forward_logfreq,
     inverse_logfreq,
-    magnitude,
 )
 
 __version__ = "0.1.0"
@@ -49,33 +43,26 @@ __version__ = "0.1.0"
 __all__ = [
     "ComplexSpectrogram",
     "EvalResult",
-    "MagSpectrogram",
     "NeighborSet",
     "SeparationConfig",
     "ShiftEstimate",
-    "SpecmurtFrame",
     "SyntheticScene",
     "TransformParams",
-    "apply_mask_and_resynthesize",
     "build_scene",
     "build_soft_mask",
     "estimate_shift_deconv",
     "forward_logfreq",
     "interference_clip",
     "inverse_logfreq",
-    "knn_baseline",
     "knn_shift_exhaustive",
     "knn_specmurt",
     "knn_specmurt_pruned",
-    "magnitude",
     "median_estimate",
-    "median_estimate_shifted",
     "nsdr",
     "run_grid",
     "sdr",
     "separate",
     "shift_frame",
-    "specmurt_transform",
     "synthesize_note",
     "__version__",
 ]

@@ -57,7 +57,7 @@ def bench_point(
 
     def run_baseline():
         for t in range(n_frames):
-            nset = kam.knn_baseline(mag, t, all_frames, k)
+            nset = shiftkam.knn_shift_exhaustive(mag, t, all_frames, k, 0)
             kam.median_estimate(mag, nset)
 
     def run_shift_similarity():

@@ -123,6 +123,15 @@ def parse_support_ranges(text: str) -> list[tuple[float, float]]:
     return ranges
 
 
+def _make_dir(path: Path) -> Path:
+    """Create ``path`` and its parents if missing; failures are I/O errors."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise AudioIOError(f"cannot create {path}: {exc}") from exc
+    return path
+
+
 def _shift_histogram(plans) -> dict[str, int]:
     counts: dict[str, int] = {}
     for nset in plans.values():
@@ -205,25 +214,22 @@ def cmd_separate(args) -> int:
     timings["neighbor_search"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    source_ch, interference_ch = [], []
-    for spect in spects:
-        mask = separation_masks(np.abs(spect.data), config, plans=plans)
-        source_ch.append(spect.with_data(spect.data * mask))
-        interference_ch.append(spect.with_data(spect.data * (1.0 - mask)))
+    source_ch = [
+        s.with_data(s.data * separation_masks(np.abs(s.data), config, plans=plans))
+        for s in spects
+    ]
     timings["estimation_masking"] = time.perf_counter() - t0
 
+    # Only the source is resynthesized: the interference is what it leaves of
+    # the input, so the two outputs sum to the input by construction.
     t0 = time.perf_counter()
     source = np.stack([inverse_logfreq(s) for s in source_ch], axis=-1)
-    interference = np.stack([inverse_logfreq(s) for s in interference_ch], axis=-1)
+    interference = channels - source
     if samples.ndim == 1:
         source, interference = source[:, 0], interference[:, 0]
     timings["resynthesis"] = time.perf_counter() - t0
 
-    out_dir = Path(manifest.output_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise AudioIOError(f"cannot create {out_dir}: {exc}") from exc
+    out_dir = _make_dir(Path(manifest.output_dir))
     t0 = time.perf_counter()
     write_wav(out_dir / "source.wav", source, rate, subtype)
     write_wav(out_dir / "interference.wav", interference, rate, subtype)
@@ -274,11 +280,7 @@ def cmd_eval(args) -> int:
                 seed=args.seed,
             )
             results.extend(evaluate.run_grid(scenes, variants, config))
-    out_dir = Path(args.output_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise AudioIOError(f"cannot create {out_dir}: {exc}") from exc
+    out_dir = _make_dir(Path(args.output_dir))
     evaluate.write_csv(results, out_dir / "results.csv")
     table = evaluate.summary_table(results)
     (out_dir / "summary.txt").write_text(table + "\n")
@@ -334,6 +336,7 @@ def cmd_bench(args) -> int:
             print(f"log-log slope of shift similarity vs (2*delta+1) (F={f}, T={t}): {slope:.2f}")
     if args.output:
         payload = [dataclasses.asdict(p) for p in points]
+        _make_dir(Path(args.output).parent)
         Path(args.output).write_text(json.dumps(payload, indent=2))
         print(f"\nwrote {args.output}")
     return EXIT_OK

@@ -3,21 +3,19 @@
 A kernel assigns to every processed frame a set of K neighbor frames believed
 to contain the same source content; the per-bin median across the neighbors
 is an outlier-resistant estimate of the source magnitude, which turns into a
-soft mask on the complex spectrogram. The baseline kernel here is plain K
-nearest neighbors under squared Euclidean distance between whole magnitude
-frames; shift-aware kernels (see :mod:`sikam.shiftkam` and
-:mod:`sikam.specmurt`) reuse the same estimation and masking machinery with
-per-neighbor frequency shifts.
+soft mask on the complex spectrogram. The kernels differ only in how they
+pick the (frame, shift) neighbors: the baseline and the exhaustive search
+(:mod:`sikam.shiftkam`, the baseline being its zero-shift case) and the
+specmurt searches (:mod:`sikam.specmurt`); estimation and masking are shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from .timefreq import ComplexSpectrogram, MagSpectrogram
+from .timefreq import ComplexSpectrogram
 
 VARIANTS = ("baseline", "shift_exhaustive", "specmurt", "specmurt_pruned")
 
@@ -96,7 +94,7 @@ class SeparationConfig:
 
 
 def _as_matrix(mag) -> np.ndarray:
-    data = mag.data if isinstance(mag, MagSpectrogram) else np.asarray(mag)
+    data = np.asarray(mag)
     if data.ndim != 2:
         raise KernelError("magnitude input must be a 2-D matrix")
     return data
@@ -112,53 +110,12 @@ def _candidate_array(candidates, target: int) -> np.ndarray:
     return cands[cands != target]
 
 
-def _distances_at_shift(
-    mag: np.ndarray, target_col: np.ndarray, candidates: np.ndarray, delta: int
-) -> np.ndarray:
-    """Squared distances between the target and each candidate shifted by delta.
-
-    Out-of-range bins of the shifted candidate read as zero, so the target's
-    energy in the uncovered band counts fully toward the distance. Distances
-    are computed against the whole (contiguous) matrix and the candidate
-    entries selected afterwards, which is much faster than gathering columns.
-    """
-    n_bins = mag.shape[0]
-    if delta == 0:
-        diff = mag - target_col[:, None]
-        full = np.einsum("ij,ij->j", diff, diff)
-    elif delta > 0:
-        core = mag[delta:] - target_col[: n_bins - delta, None]
-        edge = float(np.dot(target_col[n_bins - delta :], target_col[n_bins - delta :]))
-        full = np.einsum("ij,ij->j", core, core) + edge
-    else:
-        core = mag[:delta] - target_col[-delta:, None]
-        edge = float(np.dot(target_col[:-delta], target_col[:-delta]))
-        full = np.einsum("ij,ij->j", core, core) + edge
-    return full[candidates]
-
-
 def _top_k(
     distances: np.ndarray, frames: np.ndarray, shifts: np.ndarray, k: int
 ) -> list[tuple[int, int]]:
     """K smallest by (distance, frame, shift) lexicographic order."""
     order = np.lexsort((shifts, frames, distances))[:k]
     return [(int(frames[i]), int(shifts[i])) for i in order]
-
-
-def knn_baseline(mag, target: int, candidates: Iterable[int], k: int) -> NeighborSet:
-    """K nearest candidate frames to the target frame, no shifts.
-
-    Distance is the squared Euclidean distance between whole magnitude
-    columns; the target itself is excluded from the pool; ties break by
-    ascending frame index.
-    """
-    data = _as_matrix(mag)
-    cands = _candidate_array(candidates, target)
-    if len(cands) < k:
-        raise KernelError(f"need at least k={k} candidates, got {len(cands)}")
-    dist = _distances_at_shift(data, data[:, target], cands, 0)
-    pairs = _top_k(dist, cands, np.zeros(len(cands), dtype=int), k)
-    return NeighborSet(target=int(target), neighbors=tuple(pairs))
 
 
 def median_estimate(mag, nset: NeighborSet) -> np.ndarray:
@@ -169,29 +126,14 @@ def median_estimate(mag, nset: NeighborSet) -> np.ndarray:
     neighbor count the lower median (element ``(K-1)//2`` of the sorted
     values) is returned, which keeps the estimate inside the observed values.
     """
+    from .shiftkam import shift_frame
+
     if len(nset) == 0:
         raise KernelError("empty neighbor set")
     data = _as_matrix(mag)
-    n_bins = data.shape[0]
-    stack = np.zeros((len(nset), n_bins))
-    for i, (frame, shift) in enumerate(nset.neighbors):
-        col = data[:, frame]
-        if shift == 0:
-            stack[i] = col
-        elif shift > 0:
-            stack[i, : n_bins - shift] = col[shift:]
-        else:
-            stack[i, -shift:] = col[:shift]
+    stack = shift_frame(data[:, nset.frames], nset.shifts)
     kth = (len(nset) - 1) // 2
-    return np.partition(stack, kth, axis=0)[kth]
-
-
-def _soft_mask(s_est: np.ndarray, x_mag: np.ndarray) -> np.ndarray:
-    # mask = S / (max(X - S, 0) + S) = S / max(X, S), with 0/0 -> 0
-    denom = np.maximum(x_mag, s_est)
-    mask = np.zeros_like(denom)
-    np.divide(s_est, denom, out=mask, where=denom > 0)
-    return mask
+    return np.partition(stack, kth, axis=1)[:, kth]
 
 
 def build_soft_mask(s_est, x_mag) -> np.ndarray:
@@ -200,17 +142,17 @@ def build_soft_mask(s_est, x_mag) -> np.ndarray:
     Entries lie in [0, 1], and equal exactly 1 wherever the estimate reaches
     or exceeds the observed magnitude (and is itself nonzero).
     """
-    s = np.asarray(
-        s_est.data if isinstance(s_est, MagSpectrogram) else s_est, dtype=np.float64
-    )
-    x = np.asarray(
-        x_mag.data if isinstance(x_mag, MagSpectrogram) else x_mag, dtype=np.float64
-    )
+    s = np.asarray(s_est, dtype=np.float64)
+    x = np.asarray(x_mag, dtype=np.float64)
     if s.shape != x.shape:
         raise KernelError(f"shape mismatch: {s.shape} vs {x.shape}")
     if np.any(s < 0) or np.any(x < 0):
         raise KernelError("magnitudes must be nonnegative")
-    return _soft_mask(s, x)
+    # mask = S / (max(X - S, 0) + S) = S / max(X, S), with 0/0 -> 0
+    denom = np.maximum(x, s)
+    mask = np.zeros_like(denom)
+    np.divide(s, denom, out=mask, where=denom > 0)
+    return mask
 
 
 def plan_neighbors(mag, config: SeparationConfig) -> dict[int, NeighborSet]:
@@ -242,13 +184,11 @@ def plan_neighbors(mag, config: SeparationConfig) -> dict[int, NeighborSet]:
         )
 
     plans: dict[int, NeighborSet] = {}
-    if config.variant == "baseline":
-        for t in support:
-            plans[t] = knn_baseline(data, t, candidates, config.k)
-    elif config.variant == "shift_exhaustive":
+    if config.variant in ("baseline", "shift_exhaustive"):
+        delta = 0 if config.variant == "baseline" else config.delta
         for t in support:
             plans[t] = shiftkam.knn_shift_exhaustive(
-                data, t, candidates, config.k, config.delta
+                data, t, candidates, config.k, delta
             )
     else:
         surplus = config.surplus if config.variant == "specmurt_pruned" else 0
@@ -273,10 +213,12 @@ def separation_masks(mag, config: SeparationConfig, plans=None) -> np.ndarray:
     data = _as_matrix(mag)
     if plans is None:
         plans = plan_neighbors(data, config)
+    frames = list(plans)
+    est = np.empty((data.shape[0], len(frames)))
+    for i, t in enumerate(frames):
+        est[:, i] = median_estimate(data, plans[t])
     mask = np.ones_like(data)
-    for t, nset in plans.items():
-        est = median_estimate(data, nset)
-        mask[:, t] = _soft_mask(est, data[:, t])
+    mask[:, frames] = build_soft_mask(est, data[:, frames])
     return mask
 
 

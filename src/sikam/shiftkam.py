@@ -1,10 +1,10 @@
-"""Exhaustive shift-invariant neighbor search.
+"""Exhaustive shift-invariant neighbor search and the zero-padded shift.
 
-Extends the baseline K-NN kernel by admitting frequency-shifted candidate
-frames: a candidate is compared to the target at every shift in
-``[-delta, delta]`` and the best shift per frame is kept. This makes notes of
+Compares the target with every candidate frame at every shift in
+``[-delta, delta]`` and keeps the best shift per frame. This makes notes of
 the same source at different pitches usable as neighbors, at a cost that
-grows linearly with the shift range.
+grows linearly with the shift range. With ``delta=0`` it is the baseline
+kernel: plain K nearest neighbors between whole magnitude frames.
 """
 
 from __future__ import annotations
@@ -13,35 +13,49 @@ from typing import Iterable
 
 import numpy as np
 
-from .kam import (
-    KernelError,
-    NeighborSet,
-    _as_matrix,
-    _candidate_array,
-    _distances_at_shift,
-    _top_k,
-)
-from .kam import median_estimate as median_estimate_shifted  # noqa: F401  (same contract; shifts are honored there)
+from .kam import KernelError, NeighborSet, _as_matrix, _candidate_array, _top_k
 
 
-def shift_frame(col: np.ndarray, delta: int) -> np.ndarray:
-    """Shift a magnitude column by ``delta`` bins with zero padding.
+def shift_frame(col: np.ndarray, delta) -> np.ndarray:
+    """Shift magnitude columns by ``delta`` bins with zero padding.
 
-    ``out[f] = col[f + delta]`` where defined, else 0: positive shifts move
-    content toward lower bins.
+    ``col`` is one (F,) column shifted by an integer ``delta``, or an (F, n)
+    matrix with one shift per column in ``delta``. ``out[f] = col[f + delta]``
+    where defined, else 0: positive shifts move content toward lower bins.
     """
     col = np.asarray(col)
-    n = len(col)
-    if abs(delta) > n:
-        raise KernelError(f"|delta|={abs(delta)} exceeds column length {n}")
-    out = np.zeros_like(col)
-    if delta == 0:
-        out[:] = col
-    elif delta > 0:
-        out[: n - delta] = col[delta:]
-    else:
-        out[-delta:] = col[:delta]
-    return out
+    delta = np.asarray(delta, dtype=int)
+    n = col.shape[0]
+    pad = int(np.abs(delta).max())
+    if pad > n:
+        raise KernelError(f"|delta|={pad} exceeds column length {n}")
+    # Copy every column into a zero-padded row; column i of the result is the
+    # length-n window of row i that starts delta[i] bins after its own start.
+    rows = col.reshape(n, -1).T
+    padded = np.zeros((len(rows), n + 2 * pad), dtype=col.dtype)
+    padded[:, pad : pad + n] = rows
+    step_row, step_bin = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (len(rows), 2 * pad + 1, n), (step_row, step_bin, step_bin), writeable=False
+    )
+    return windows[np.arange(len(rows)), pad + delta].T.reshape(col.shape)
+
+
+def _distances_at_shift(
+    mag: np.ndarray, target_col: np.ndarray, candidates: np.ndarray, delta: int
+) -> np.ndarray:
+    """Squared distances between the target and each candidate shifted by delta.
+
+    Out-of-range bins of the shifted candidate read as zero, so the target's
+    energy in the uncovered band counts fully toward the distance. Distances
+    are computed against the whole (contiguous) matrix and the candidate
+    entries selected afterwards, which is much faster than gathering columns.
+    """
+    lo, hi = max(delta, 0), mag.shape[0] + min(delta, 0)
+    core = mag[lo:hi] - target_col[lo - delta : hi - delta, None]
+    head, tail = target_col[: lo - delta], target_col[hi - delta :]
+    edge = float(np.dot(head, head) + np.dot(tail, tail))
+    return (np.einsum("ij,ij->j", core, core) + edge)[candidates]
 
 
 def knn_shift_exhaustive(
@@ -51,8 +65,8 @@ def knn_shift_exhaustive(
 
     At most one shift per candidate frame survives (the best one), so a
     single frame cannot fill several neighbor slots with near-identical
-    content. Ties break by ascending (distance, frame, shift). With
-    ``delta=0`` this reduces exactly to :func:`sikam.kam.knn_baseline`.
+    content. Ties break by ascending (distance, frame, shift); the target
+    itself is excluded from the pool. ``delta=0`` is the baseline kernel.
     """
     data = _as_matrix(mag)
     cands = _candidate_array(candidates, target)

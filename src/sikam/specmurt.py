@@ -20,18 +20,6 @@ from .shiftkam import shift_frame
 
 
 @dataclass(frozen=True)
-class SpecmurtFrame:
-    """Nonnegative specmurt coefficients of one magnitude frame.
-
-    ``coeffs`` holds the moduli of the frame's DFT from index ``dropped_head``
-    up to the half length (real-input symmetry makes the rest redundant).
-    """
-
-    coeffs: np.ndarray
-    dropped_head: int
-
-
-@dataclass(frozen=True)
 class ShiftEstimate:
     """Result of the deconvolution-based shift search.
 
@@ -45,27 +33,16 @@ class ShiftEstimate:
     peak_ratio: float
 
 
-def specmurt_transform(col: np.ndarray, drop_head: int = 1) -> SpecmurtFrame:
-    """Specmurt coefficients of one nonnegative column.
-
-    The leading ``drop_head`` coefficients (the broadband/DC end) are
-    discarded; index 0 is the DC term, so the default of one drops it.
-    """
-    col = np.asarray(col, dtype=np.float64)
-    if col.ndim != 1:
-        raise KernelError("column must be one-dimensional")
-    if np.any(col < 0):
-        raise KernelError("column must be nonnegative")
-    half = len(col) // 2 + 1
-    if drop_head < 0 or drop_head >= half:
-        raise KernelError(f"drop_head={drop_head} out of range for half length {half}")
-    coeffs = np.abs(np.fft.rfft(col))[drop_head:half]
-    return SpecmurtFrame(coeffs=coeffs, dropped_head=drop_head)
-
-
 def specmurt_matrix(mag, drop_head: int = 1) -> np.ndarray:
-    """Specmurt coefficients of every column at once, shape (half-F, T)."""
+    """Specmurt coefficients of every nonnegative column, shape (half-F, T).
+
+    Column t holds the moduli of the DFT of magnitude frame t from index
+    ``drop_head`` up to the half length (real-input symmetry makes the rest
+    redundant). Index 0 is the DC term, so the default of one drops it.
+    """
     data = _as_matrix(mag)
+    if np.any(data < 0):
+        raise KernelError("magnitudes must be nonnegative")
     half = data.shape[0] // 2 + 1
     if drop_head < 0 or drop_head >= half:
         raise KernelError(f"drop_head={drop_head} out of range for half length {half}")
@@ -97,13 +74,32 @@ def knn_specmurt(
     return cands[order]
 
 
+def _deconvolve(y: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deconvolve the target ``y`` against every column of ``zs`` at once.
+
+    Solves ``y = h * z`` (circular convolution) for ``h`` in the Fourier
+    domain with a regularized division, one ``eps`` per column. Returns the
+    shift per column that aligns it to ``y`` through :func:`shift_frame`, in
+    ``[-n/2, n/2)``, and the (n, columns) matrix of ``|h|``.
+    """
+    n = len(y)
+    u = np.fft.ifft(y)
+    v = np.fft.ifft(zs, axis=0)
+    eps = 1e-8 * np.abs(v).max(axis=0)
+    mags = np.abs(np.fft.fft(u[:, None] * np.conj(v) / (np.abs(v) ** 2 + eps**2), axis=0))
+    # h peaks at the negated displacement of z relative to y; negate it so
+    # that shift_frame(z, delta) lines z up with y.
+    delta = (n // 2 - np.argmax(mags, axis=0)) % n - n // 2
+    return delta, mags
+
+
 def estimate_shift_deconv(y: np.ndarray, z: np.ndarray) -> ShiftEstimate:
     """Relative frequency shift between two columns via fast deconvolution.
 
-    Solves ``y = h * z`` (circular convolution) for ``h`` in the Fourier
-    domain with a regularized division, and reads the shift off the peak of
-    ``|h|``. The returned delta aligns ``z`` to ``y`` through
-    ``shift_frame(z, delta)`` and lies in ``[-n/2, n/2)``.
+    The one-column case of the pruned search's deconvolution: the shift is
+    read off the peak of ``|h|`` for ``y = h * z``. The returned delta aligns
+    ``z`` to ``y`` through ``shift_frame(z, delta)`` and lies in
+    ``[-n/2, n/2)``.
     """
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -113,24 +109,12 @@ def estimate_shift_deconv(y: np.ndarray, z: np.ndarray) -> ShiftEstimate:
         raise KernelError("target column is all zero")
     if not np.any(z):
         raise KernelError("candidate column is all zero")
-    n = len(y)
-    u = np.fft.ifft(y)
-    v = np.fft.ifft(z)
-    eps = 1e-8 * np.abs(v).max()
-    h = np.fft.fft(u * np.conj(v) / (np.abs(v) ** 2 + eps**2))
-    mags = np.abs(h)
-    peak_idx = int(np.argmax(mags))
-    peak = float(mags[peak_idx])
-    rest = np.delete(mags, peak_idx)
-    second = float(rest.max()) if len(rest) else 0.0
-    lag = peak_idx if peak_idx < (n + 1) // 2 else peak_idx - n
-    # h peaks at the negated displacement of z relative to y; negate so that
-    # shift_frame(z, delta) lines z up with y.
-    delta = -lag
-    if delta == n // 2 and n % 2 == 0:
-        delta = -(n // 2)
+    delta, mags = _deconvolve(y, z[:, None])
+    top = np.sort(mags[:, 0])[::-1]
+    peak = float(top[0])
+    second = float(top[1]) if len(top) > 1 else 0.0
     ratio = peak / second if second > 0 else float("inf")
-    return ShiftEstimate(delta=int(delta), peak_value=peak, peak_ratio=ratio)
+    return ShiftEstimate(delta=int(delta[0]), peak_value=peak, peak_ratio=ratio)
 
 
 def knn_specmurt_pruned(
@@ -156,18 +140,17 @@ def knn_specmurt_pruned(
     data = _as_matrix(mag)
     pool = knn_specmurt(data, target, candidates, k + surplus, drop_head, spec)
     target_col = data[:, target]
+    cols = data[:, pool]
     shifts = np.zeros(len(pool), dtype=int)
-    dists = np.zeros(len(pool))
-    for i, frame in enumerate(pool):
-        if not np.any(target_col) or not np.any(data[:, frame]):
-            d = 0  # silent column: no shift information to recover
-        else:
-            d = estimate_shift_deconv(target_col, data[:, frame]).delta
-        if clamp:
-            d = int(np.clip(d, -max_shift, max_shift))
-        shifts[i] = d
-        aligned = shift_frame(data[:, frame], d)
-        diff = aligned - target_col
-        dists[i] = float(np.dot(diff, diff))
+    if np.any(target_col):
+        # A silent column carries no shift information: it keeps shift 0.
+        live = np.flatnonzero(np.any(cols, axis=0))
+        shifts[live] = _deconvolve(target_col, cols[:, live])[0]
+    if clamp:
+        shifts = np.clip(shifts, -max_shift, max_shift)
+    # One row per pool frame; the batched row dot products are the same sums
+    # as np.dot on each column, so distances match a per-frame loop exactly.
+    diff = np.ascontiguousarray((shift_frame(cols, shifts) - target_col[:, None]).T)
+    dists = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
     pairs = _top_k(dists, pool, shifts, k)
     return NeighborSet(target=int(target), neighbors=tuple(pairs))

@@ -126,26 +126,6 @@ class ComplexSpectrogram:
         return replace(self, data=data)
 
 
-@dataclass(frozen=True, eq=False)
-class MagSpectrogram:
-    """Nonnegative magnitudes of a log-frequency spectrogram, shape (F, T)."""
-
-    data: np.ndarray
-    params: TransformParams
-
-    def __post_init__(self):
-        if np.any(self.data < 0):
-            raise TransformError("magnitude entries must be nonnegative")
-
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[1]
-
-
 @functools.lru_cache(maxsize=8)
 def _analysis_kernel(params: TransformParams) -> np.ndarray:
     """Bank of windowed complex exponentials, one row per log bin."""
@@ -212,7 +192,8 @@ def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
     Parameters
     ----------
     signal : array_like
-        Mono sample sequence, at least one analysis window long.
+        Mono sample sequence of finite values, at least one analysis window
+        long.
     params : TransformParams
 
     Returns
@@ -224,6 +205,11 @@ def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
         raise TransformError("signal must be one-dimensional")
+    if not np.all(np.isfinite(x)):
+        raise TransformError(
+            f"signal holds {np.count_nonzero(~np.isfinite(x))} non-finite "
+            "samples (NaN or infinity)"
+        )
     if len(x) < params.window_length:
         raise TransformError(
             f"signal too short: {len(x)} samples, need >= {params.window_length}"
@@ -285,27 +271,6 @@ def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
     np.divide(spect.data, spect._base, out=ratio, where=spect._base != 0)
     lin_gain = _mask_backmap(spect.params) @ ratio
     return _overlap_add(lin_gain * spect._linear, spect.params, spect._n_samples)
-
-
-def magnitude(spect: ComplexSpectrogram) -> MagSpectrogram:
-    """Elementwise modulus of a complex spectrogram."""
-    return MagSpectrogram(data=np.abs(spect.data), params=spect.params)
-
-
-def apply_mask_and_resynthesize(spect: ComplexSpectrogram, mask: np.ndarray) -> np.ndarray:
-    """Apply a soft mask in the log-frequency domain and resynthesize.
-
-    ``mask`` must match the spectrogram shape and lie in [0, 1]. An all-ones
-    mask reproduces ``inverse_logfreq(spect)`` exactly.
-    """
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != spect.data.shape:
-        raise TransformError(
-            f"mask shape {mask.shape} does not match spectrogram {spect.data.shape}"
-        )
-    if np.any(mask < 0.0) or np.any(mask > 1.0):
-        raise TransformError("mask entries must lie in [0, 1]")
-    return inverse_logfreq(spect.with_data(spect.data * mask))
 
 
 def n_frames_for(params: TransformParams, n_samples: int) -> int:

@@ -85,7 +85,9 @@ def test_criterion_1_kernel_oracle_equivalence():
         delta = int(rng.integers(0, min(f, 11)))
         for target in rng.choice(t, size=2, replace=False):
             target = int(target)
-            got_b = list(kam.knn_baseline(mag, target, range(t), k).neighbors)
+            got_b = list(
+                shiftkam.knn_shift_exhaustive(mag, target, range(t), k, 0).neighbors
+            )
             assert got_b == brute_force_baseline(mag, target, k)
             got_s = list(
                 shiftkam.knn_shift_exhaustive(mag, target, range(t), k, delta).neighbors

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sikam import cli, evaluate
 from sikam.audio_io import AudioIOError, read_wav, write_wav
@@ -206,6 +210,19 @@ class TestSeparateCommand:
             )
             == 4
         )
+        x, _, _ = read_wav(demo_wav)
+        x[len(x) // 2] = np.nan
+        nan_wav = tmp_path / "nan.wav"
+        write_wav(nan_wav, x, SR, "float32")
+        nan_out = tmp_path / "nan_out"
+        assert (
+            cli.main(
+                ["separate", "--input", str(nan_wav), "--output-dir", str(nan_out),
+                 "--support", sup]
+            )
+            == 2
+        )
+        assert not nan_out.exists()
 
     def test_bad_manifest_key(self, tmp_path):
         manifest = tmp_path / "bad.cfg"
@@ -214,6 +231,37 @@ class TestSeparateCommand:
 
     def test_missing_input_is_usage_error(self):
         assert cli.main(["separate", "--support", "0:1"]) == 2
+
+    @settings(max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        channels=st.sampled_from([1, 2]),
+        seconds=st.floats(1.0, 1.6),
+        amplitude=st.floats(0.01, 0.5),
+        variant=st.sampled_from(sorted(cli.VARIANT_BY_FLAG)),
+        start=st.floats(0.0, 0.8),
+        length=st.floats(0.01, 0.2),
+    )
+    def test_outputs_sum_to_input(
+        self, seed, channels, seconds, amplitude, variant, start, length
+    ):
+        rate = 8000
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-amplitude, amplitude, (int(seconds * rate), channels))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "in.wav", Path(tmp) / "out"
+            write_wav(path, x[:, 0] if channels == 1 else x, rate, "pcm16")
+            code = cli.main(
+                ["separate", "--input", str(path), "--output-dir", str(out),
+                 "--variant", variant, "--k", "2", "--p", "2", "--delta", "4",
+                 "--support", f"{start}:{start + length}"]
+            )
+            assert code == 0
+            x, _, _ = read_wav(path)
+            s, _, _ = read_wav(out / "source.wav")
+            n, _, _ = read_wav(out / "interference.wav")
+        assert s.shape == n.shape == x.shape
+        assert np.abs(s + n - x).max() <= 1.0 / 32768
 
 
 @pytest.mark.slow
@@ -305,7 +353,7 @@ class TestEvalCommand:
 
 class TestBenchCommand:
     def test_tiny_bench(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
+        out = tmp_path / "not" / "yet" / "bench.json"
         code = cli.main(
             [
                 "bench",

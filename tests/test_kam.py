@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sikam import kam
-from sikam.shiftkam import shift_frame
+from sikam.shiftkam import knn_shift_exhaustive, shift_frame
 from sikam.timefreq import forward_logfreq
 
 
@@ -28,11 +28,13 @@ mag_matrices = arrays(
 
 
 class TestKnnBaseline:
+    """The baseline kernel: the exhaustive search with no shift."""
+
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(30):
             mag = rng.random((8, 20))
             target = int(rng.integers(0, 20))
-            nset = kam.knn_baseline(mag, target, range(20), 5)
+            nset = knn_shift_exhaustive(mag, target, range(20), 5, 0)
             assert list(nset.neighbors) == brute_force_knn(mag, target, range(20), 5)
 
     @given(mag_matrices, st.integers(0, 3))
@@ -40,12 +42,12 @@ class TestKnnBaseline:
         n_frames = mag.shape[1]
         target = target % n_frames
         k = min(3, n_frames - 1)
-        nset = kam.knn_baseline(mag, target, range(n_frames), k)
+        nset = knn_shift_exhaustive(mag, target, range(n_frames), k, 0)
         assert list(nset.neighbors) == brute_force_knn(mag, target, range(n_frames), k)
 
     def test_tie_break_by_frame_index(self):
         mag = np.ones((4, 10))
-        nset = kam.knn_baseline(mag, 7, range(10), 3)
+        nset = knn_shift_exhaustive(mag, 7, range(10), 3, 0)
         assert list(nset.neighbors) == [(0, 0), (1, 0), (2, 0)]
 
     def test_exact_match_wins(self):
@@ -55,18 +57,18 @@ class TestKnnBaseline:
         mag[:, 1] = [9, 9, 9, 9]
         mag[:, 2] = [7, 0, 7, 0]
         mag[:, 4] = [5, 5, 5, 5]
-        nset = kam.knn_baseline(mag, 0, range(5), 1)
+        nset = knn_shift_exhaustive(mag, 0, range(5), 1, 0)
         assert nset.neighbors == ((3, 0),)
 
     def test_target_excluded_from_pool(self):
         mag = np.random.default_rng(0).random((4, 6))
-        nset = kam.knn_baseline(mag, 2, range(6), 5)
+        nset = knn_shift_exhaustive(mag, 2, range(6), 5, 0)
         assert 2 not in nset.frames
 
     def test_pool_too_small(self):
         mag = np.ones((4, 4))
         with pytest.raises(kam.KernelError):
-            kam.knn_baseline(mag, 0, range(4), 4)
+            knn_shift_exhaustive(mag, 0, range(4), 4, 0)
 
 
 class TestMedianEstimate:

@@ -27,23 +27,29 @@ def comb_column(f, base, n_partials=6):
     return harmonic_column(f, positions)
 
 
+def specmurt_column(col, drop_head=1):
+    """Specmurt coefficients of one column, through the matrix transform."""
+    return specmurt.specmurt_matrix(np.asarray(col)[:, None], drop_head)[:, 0]
+
+
 class TestSpecmurtTransform:
     def test_constant_column_has_no_structure(self):
-        frame = specmurt.specmurt_transform(np.full(64, 3.7), drop_head=1)
-        np.testing.assert_allclose(frame.coeffs, 0.0, atol=1e-9)
+        coeffs = specmurt_column(np.full(64, 3.7), drop_head=1)
+        np.testing.assert_allclose(coeffs, 0.0, atol=1e-9)
 
-    def test_length_and_head(self):
-        frame = specmurt.specmurt_transform(np.ones(64), drop_head=1)
-        assert frame.dropped_head == 1
-        assert len(frame.coeffs) == 64 // 2 + 1 - 1
+    def test_length_and_head(self, rng):
+        col = rng.random(64)
+        coeffs = specmurt_column(col, drop_head=1)
+        assert len(coeffs) == 64 // 2 + 1 - 1
+        np.testing.assert_array_equal(coeffs, np.abs(np.fft.rfft(col))[1:])
 
     @given(
         arrays(np.float64, (48,), elements=st.floats(0, 10, allow_nan=False)),
         st.integers(-48, 48),
     )
     def test_circular_shift_invariance(self, col, d):
-        a = specmurt.specmurt_transform(col).coeffs
-        b = specmurt.specmurt_transform(np.roll(col, d)).coeffs
+        a = specmurt_column(col)
+        b = specmurt_column(np.roll(col, d))
         scale = max(a.max(), 1.0)
         assert np.abs(a - b).max() <= 1e-9 * scale
 
@@ -52,13 +58,13 @@ class TestSpecmurtTransform:
         col = np.zeros(f)
         col[10] = 1.0
         col[10 + d] = 1.0
-        frame = specmurt.specmurt_transform(col, drop_head=0)
+        coeffs = specmurt_column(col, drop_head=0)
         k = np.arange(f // 2 + 1)
         expected = np.abs(2 * np.cos(np.pi * k * d / f))
-        np.testing.assert_allclose(frame.coeffs, expected, atol=1e-12)
+        np.testing.assert_allclose(coeffs, expected, atol=1e-12)
         # against a direct DFT oracle as well
         oracle = np.abs(np.fft.fft(col))[: f // 2 + 1]
-        np.testing.assert_allclose(frame.coeffs, oracle, atol=1e-12)
+        np.testing.assert_allclose(coeffs, oracle, atol=1e-12)
 
     def test_padded_shift_near_invariance(self):
         # spectral content well inside the band: zero-padding loses little
@@ -68,18 +74,18 @@ class TestSpecmurtTransform:
         shifted = shift_frame(col, d)
         edge = np.sum(col[:d] ** 2) + np.sum(col[-d:] ** 2)
         assert edge <= 0.05 * np.sum(col**2)
-        a = specmurt.specmurt_transform(col).coeffs
-        b = specmurt.specmurt_transform(shifted).coeffs
+        a = specmurt_column(col)
+        b = specmurt_column(shifted)
         rel = np.linalg.norm(a - b) / np.linalg.norm(a)
         assert rel < 0.1
 
     def test_drop_head_out_of_range(self):
         with pytest.raises(kam.KernelError):
-            specmurt.specmurt_transform(np.ones(8), drop_head=5)
+            specmurt_column(np.ones(8), drop_head=5)
 
     def test_negative_column_rejected(self):
         with pytest.raises(kam.KernelError):
-            specmurt.specmurt_transform(-np.ones(8))
+            specmurt_column(-np.ones(8))
 
 
 class TestKnnSpecmurt:
@@ -175,7 +181,48 @@ class TestEstimateShiftDeconv:
             specmurt.estimate_shift_deconv(np.zeros(16), np.ones(16))
 
 
+def pruned_oracle(mag, target, candidates, k, surplus, max_shift, clamp=True):
+    """The pruned search one pool frame at a time, as a reference."""
+    pool = specmurt.knn_specmurt(mag, target, candidates, k + surplus)
+    y = mag[:, target]
+    entries = []
+    for frame in pool:
+        z = mag[:, frame]
+        if not np.any(y) or not np.any(z):
+            d = 0  # silent column: no shift information to recover
+        else:
+            d = specmurt.estimate_shift_deconv(y, z).delta
+        if clamp:
+            d = int(np.clip(d, -max_shift, max_shift))
+        diff = shift_frame(z, d) - y
+        entries.append((float(np.dot(diff, diff)), int(frame), d))
+    entries.sort()
+    return tuple((frame, d) for _, frame, d in entries[:k])
+
+
 class TestKnnSpecmurtPruned:
+    # An all-zero column must not reach the deconvolution (0/0 warnings).
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_matches_per_frame_oracle(self, rng, clamp):
+        checked = 0
+        for trial in range(30):
+            f = int(rng.integers(8, 80))
+            t = int(rng.integers(8, 40))
+            mag = rng.random((f, t))
+            mag[:, rng.integers(0, t)] = 0.0  # an all-zero column
+            k = int(rng.integers(1, t // 2))
+            surplus = int(rng.integers(0, t - k))
+            max_shift = int(rng.integers(0, f))
+            for target in range(t):
+                got = specmurt.knn_specmurt_pruned(
+                    mag, target, range(t), k, surplus, max_shift, clamp=clamp
+                )
+                want = pruned_oracle(mag, target, range(t), k, surplus, max_shift, clamp)
+                assert got.neighbors == want
+                checked += 1
+        assert checked > 300
+
     def test_zero_surplus_keeps_specmurt_selection(self, rng):
         mag = rng.random((64, 24))
         pre = specmurt.knn_specmurt(mag, 3, range(24), 5)

@@ -74,6 +74,13 @@ class TestForward:
         with pytest.raises(tf.TransformError):
             tf.forward_logfreq(np.zeros((8192, 2)), DEFAULT)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_rejected(self, small_params, bad):
+        x = np.zeros(4000)
+        x[1234] = bad
+        with pytest.raises(tf.TransformError, match="non-finite"):
+            tf.forward_logfreq(x, small_params)
+
     def test_linearity(self, small_params, rng):
         x = rng.standard_normal(4000)
         y = rng.standard_normal(4000)
@@ -134,61 +141,34 @@ class TestRoundTrip:
             tf.inverse_logfreq(orphan)
 
 
-class TestMagnitude:
-    def test_modulus(self, small_params):
-        spect = tf.forward_logfreq(np.zeros(4000), small_params)
-        data = np.full_like(spect.data, 3 + 4j)
-        mag = tf.magnitude(spect.with_data(data))
-        np.testing.assert_allclose(mag.data, 5.0)
-
-    def test_zero_matrix(self, small_params):
-        spect = tf.forward_logfreq(np.zeros(4000), small_params)
-        assert not np.any(tf.magnitude(spect).data)
-
-    def test_global_phase_invariance(self, small_params, rng):
-        spect = tf.forward_logfreq(rng.standard_normal(4000), small_params)
-        rotated = spect.with_data(spect.data * np.exp(1j * 0.83))
-        np.testing.assert_allclose(
-            tf.magnitude(rotated).data, tf.magnitude(spect).data, rtol=1e-12
-        )
-
-    def test_negative_magnitudes_rejected(self, small_params):
-        with pytest.raises(tf.TransformError):
-            tf.MagSpectrogram(data=np.array([[-1.0]]), params=small_params)
+def masked_inverse(spect, mask):
+    """Resynthesis of a masked spectrogram, the way the separation does it."""
+    return tf.inverse_logfreq(spect.with_data(spect.data * mask))
 
 
 class TestMasking:
     def test_all_ones_mask_is_identity(self, small_params, rng):
         spect = tf.forward_logfreq(rng.standard_normal(4000), small_params)
         y_plain = tf.inverse_logfreq(spect)
-        y_masked = tf.apply_mask_and_resynthesize(spect, np.ones(spect.data.shape))
+        y_masked = masked_inverse(spect, np.ones(spect.data.shape))
         assert np.array_equal(y_plain, y_masked)
 
     def test_all_zeros_mask_is_silence(self, small_params, rng):
         spect = tf.forward_logfreq(rng.standard_normal(4000), small_params)
-        assert not np.any(
-            tf.apply_mask_and_resynthesize(spect, np.zeros(spect.data.shape))
-        )
+        assert not np.any(masked_inverse(spect, np.zeros(spect.data.shape)))
 
     def test_half_mask_halves_rms(self, rng):
         x = rng.standard_normal(44100)
         spect = tf.forward_logfreq(x, DEFAULT)
         y_full = tf.inverse_logfreq(spect)
-        y_half = tf.apply_mask_and_resynthesize(spect, np.full(spect.data.shape, 0.5))
+        y_half = masked_inverse(spect, np.full(spect.data.shape, 0.5))
         rms = lambda v: np.sqrt(np.mean(v**2))  # noqa: E731
         assert abs(rms(y_half) / rms(y_full) - 0.5) < 1e-2
-
-    def test_out_of_range_mask_rejected(self, small_params, rng):
-        spect = tf.forward_logfreq(rng.standard_normal(4000), small_params)
-        bad = np.ones(spect.data.shape)
-        bad[0, 0] = 1.5
-        with pytest.raises(tf.TransformError):
-            tf.apply_mask_and_resynthesize(spect, bad)
 
     def test_shape_mismatch_rejected(self, small_params, rng):
         spect = tf.forward_logfreq(rng.standard_normal(4000), small_params)
         with pytest.raises(tf.TransformError):
-            tf.apply_mask_and_resynthesize(spect, np.ones((3, 3)))
+            spect.with_data(np.ones((3, 3)))
 
 
 class TestTranslation:
