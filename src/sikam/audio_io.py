@@ -10,6 +10,14 @@ class AudioIOError(IOError):
     """Unreadable, unwritable or unsupported audio files."""
 
 
+# The WAV encodings scipy reads as these sample types, none of them handled.
+_UNSUPPORTED_FORMATS = {
+    np.dtype(np.uint8): "8-bit PCM",
+    np.dtype(np.int32): "24- or 32-bit integer PCM",
+    np.dtype(np.float64): "64-bit float",
+}
+
+
 def read_wav(path) -> tuple[np.ndarray, float, str]:
     """Read a WAV file into float64 samples in [-1, 1).
 
@@ -29,9 +37,10 @@ def read_wav(path) -> tuple[np.ndarray, float, str]:
         samples = data.astype(np.float64)
         subtype = "float32"
     else:
+        name = _UNSUPPORTED_FORMATS.get(data.dtype, f"sample format {data.dtype}")
         raise AudioIOError(
-            f"unsupported WAV sample format {data.dtype}: only 16-bit PCM "
-            "and 32-bit float are handled"
+            f"unsupported WAV {name} in {path}: only 16-bit PCM and 32-bit "
+            "float are handled"
         )
     return samples, float(rate), subtype
 

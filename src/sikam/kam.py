@@ -186,10 +186,8 @@ def plan_neighbors(mag, config: SeparationConfig) -> dict[int, NeighborSet]:
     plans: dict[int, NeighborSet] = {}
     if config.variant in ("baseline", "shift_exhaustive"):
         delta = 0 if config.variant == "baseline" else config.delta
-        for t in support:
-            plans[t] = shiftkam.knn_shift_exhaustive(
-                data, t, candidates, config.k, delta
-            )
+        found = shiftkam._exhaustive_search(data, support, candidates, config.k, delta)
+        plans.update(zip(support, found))
     else:
         surplus = config.surplus if config.variant == "specmurt_pruned" else 0
         spec = specmurt.specmurt_matrix(data, config.drop_head)

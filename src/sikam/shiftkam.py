@@ -5,6 +5,11 @@ Compares the target with every candidate frame at every shift in
 the same source at different pitches usable as neighbors, at a cost that
 grows linearly with the shift range. With ``delta=0`` it is the baseline
 kernel: plain K nearest neighbors between whole magnitude frames.
+
+All targets are searched together: one matrix product per shift gives
+approximate distances of every frame to every target, and a rounding margin
+decides which (frame, shift) pairs need the exact distance, so the neighbor
+sets are those of an exact per-shift comparison.
 """
 
 from __future__ import annotations
@@ -41,21 +46,115 @@ def shift_frame(col: np.ndarray, delta) -> np.ndarray:
     return windows[np.arange(len(rows)), pad + delta].T.reshape(col.shape)
 
 
-def _distances_at_shift(
-    mag: np.ndarray, target_col: np.ndarray, candidates: np.ndarray, delta: int
-) -> np.ndarray:
-    """Squared distances between the target and each candidate shifted by delta.
+# Rounding bound of one distance per bin, in units of (candidate energy +
+# target energy). The matrix-product form and the difference form of a
+# distance each add up at most F + 3 rounded terms no larger than that energy,
+# so each is within (F + 3) * eps of the exact value; the factor 32 leaves room
+# for the rounding of the energies, of the margin and of the comparisons.
+_MARGIN_PER_BIN = 32 * np.finfo(float).eps
 
-    Out-of-range bins of the shifted candidate read as zero, so the target's
-    energy in the uncovered band counts fully toward the distance. Distances
-    are computed against the whole (contiguous) matrix and the candidate
-    entries selected afterwards, which is much faster than gathering columns.
+
+def _rescore(
+    data: np.ndarray,
+    target: int,
+    frames: np.ndarray,
+    shifts: np.ndarray,
+    tied: np.ndarray,
+    k: int,
+    delta: int,
+) -> list[tuple[int, int]]:
+    """Top K of the short-listed (frame, shift) pairs by exact distance.
+
+    The exact distance is the covered-band sum of squared differences, bin
+    by bin in ascending order, plus the target's energy in the uncovered
+    band. Frames marked ``tied`` try every shift in ascending order and keep
+    the first best one; the others keep their shift.
     """
-    lo, hi = max(delta, 0), mag.shape[0] + min(delta, 0)
-    core = mag[lo:hi] - target_col[lo - delta : hi - delta, None]
-    head, tail = target_col[: lo - delta], target_col[hi - delta :]
-    edge = float(np.dot(head, head) + np.dot(tail, tail))
-    return (np.einsum("ij,ij->j", core, core) + edge)[candidates]
+    n_bins = data.shape[0]
+    col = data[:, target]
+    # numpy sums a C-ordered matrix over its rows one row at a time, the
+    # order the distances must keep, but a lone column pairwise: hence the
+    # row-major copy and the spare column
+    columns = np.ascontiguousarray(data[:, np.append(frames, frames[0])])
+    dist = np.full(len(frames), np.inf)
+    shifts = shifts.copy()
+    for d in range(-delta, delta + 1) if tied.any() else np.unique(shifts).tolist():
+        lo, hi = max(d, 0), n_bins + min(d, 0)
+        core = columns[lo:hi] - col[lo - d : hi - d, None]
+        head, tail = col[: lo - d], col[hi - d :]
+        edge = float(np.dot(head, head) + np.dot(tail, tail))
+        here = np.einsum("ij,ij->j", core, core)[:-1] + edge
+        better = (tied | (shifts == d)) & (here < dist)
+        dist[better] = here[better]
+        shifts[better] = d
+    return _top_k(dist, frames, shifts, k)
+
+
+def _exhaustive_search(data, targets, cands, k: int, delta: int) -> list[NeighborSet]:
+    """Neighbor sets of every target, from one matrix product per shift.
+
+    At each shift the distance of every frame to every target is approximated
+    as covered-band energy + target energy - 2 * (band . shifted target); per
+    (target, frame) the best shift and the runner-up are kept. Rounding puts
+    an approximate distance at most a margin m from the exact one, so only
+    frames whose best is within 2m of the k-th smallest best can make the
+    top K. Those are re-scored exactly (every shift of a frame whose
+    runner-up is within 2m of its best) unless the margin already settles
+    the top K, its order and every shift. A target never neighbors itself;
+    callers make sure each target keeps at least k candidates.
+    """
+    data = np.asarray(data, dtype=float)
+    targets = np.asarray(targets, dtype=int)
+    n_bins, n_frames = data.shape
+    if delta > n_bins:
+        raise KernelError(f"delta={delta} exceeds the {n_bins} frequency bins")
+    valid = np.zeros((len(targets), n_frames), dtype=bool)
+    valid[:, cands] = True
+    valid[np.arange(len(targets)), targets] = False
+    energy = np.einsum("ij,ij->j", data, data)
+    # -2 * target is exact, so each product below is -2 * (band . target)
+    target_cols = -2.0 * data[:, targets]
+    best = np.full(valid.shape, np.inf)
+    runner = best.copy()
+    best_shift = np.zeros(valid.shape, dtype=int)
+    # Shifts in order of |d|, so the energy of the bins a shift drops (the
+    # first d for d > 0, the last |d| for d < 0) grows by one row per step.
+    dropped_low, dropped_high = np.zeros(n_frames), np.zeros(n_frames)
+    for d in sorted(range(-delta, delta + 1), key=abs):
+        lo, hi = max(d, 0), n_bins + min(d, 0)
+        approx = target_cols[lo - d : hi - d].T @ data[lo:hi]
+        approx += energy
+        if d > 0:
+            dropped_low += data[d - 1] ** 2
+            approx -= dropped_low
+        elif d < 0:
+            dropped_high += data[d] ** 2
+            approx -= dropped_high
+        np.minimum(runner, np.maximum(best, approx), out=runner)
+        best_shift[approx < best] = d
+        np.minimum(best, approx, out=best)
+    # m for every distance to target i, the loudest frame bounding the candidate energy
+    margin = _MARGIN_PER_BIN * (n_bins + 3) * (energy.max() + energy[targets])
+    margin += n_bins * np.finfo(float).tiny  # underflow
+    best = np.where(valid, best, np.inf)
+    ranked = np.argsort(best, axis=1)
+    plans = []
+    for i, t in enumerate(targets.tolist()):
+        # every frame whose best - m reaches the k-th smallest best + m
+        center = best[i, ranked[i]]
+        cut = np.searchsorted(center, center[k - 1] + 2 * margin[i], side="right")
+        frames, center = ranked[i, :cut], center[:cut]
+        shifts = best_shift[i, frames]
+        tied = runner[i, frames] - center <= 2 * margin[i]
+        # The margin alone settles the top K, its order and every shift when
+        # the short-listed bests are more than 2m apart (so exactly K are
+        # short-listed) and no frame has a second shift within 2m of its best.
+        if tied.any() or np.any(np.diff(center) <= 2 * margin[i]):
+            pairs = _rescore(data, t, frames, shifts, tied, k, delta)
+        else:
+            pairs = list(zip(frames.tolist(), shifts.tolist()))
+        plans.append(NeighborSet(target=t, neighbors=tuple(pairs)))
+    return plans
 
 
 def knn_shift_exhaustive(
@@ -67,21 +166,13 @@ def knn_shift_exhaustive(
     single frame cannot fill several neighbor slots with near-identical
     content. Ties break by ascending (distance, frame, shift); the target
     itself is excluded from the pool. ``delta=0`` is the baseline kernel.
+    This is the one-target case of the search :func:`kam.plan_neighbors`
+    runs for all support frames at once.
     """
-    data = _as_matrix(mag)
     cands = _candidate_array(candidates, target)
     if len(cands) < k:
         raise KernelError(
             f"need at least k={k} candidate frames, got {len(cands)} "
             "(one shift per frame is kept)"
         )
-    target_col = data[:, target]
-    best = np.full(len(cands), np.inf)
-    best_shift = np.zeros(len(cands), dtype=int)
-    for d in range(-delta, delta + 1):
-        dist = _distances_at_shift(data, target_col, cands, d)
-        better = dist < best
-        best[better] = dist[better]
-        best_shift[better] = d
-    pairs = _top_k(best, cands, best_shift, k)
-    return NeighborSet(target=int(target), neighbors=tuple(pairs))
+    return _exhaustive_search(_as_matrix(mag), [target], cands, k, delta)[0]

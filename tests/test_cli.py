@@ -62,6 +62,27 @@ class TestAudioIO:
         with pytest.raises(AudioIOError):
             read_wav(path)
 
+    @pytest.mark.parametrize(
+        "dtype, name",
+        [
+            (np.uint8, "8-bit PCM"),
+            (np.int32, "24- or 32-bit integer PCM"),
+            (np.float64, "64-bit float"),
+        ],
+    )
+    def test_unsupported_format_named(self, tmp_path, dtype, name):
+        import scipy.io.wavfile
+
+        path = tmp_path / "x.wav"
+        scipy.io.wavfile.write(path, 8000, np.zeros(100, dtype=dtype))
+        with pytest.raises(AudioIOError, match=f"unsupported WAV {name} in "):
+            read_wav(path)
+        out = tmp_path / "out"
+        code = cli.main(
+            ["separate", "--input", str(path), "--output-dir", str(out), "--support", "0:0.001"]
+        )
+        assert code == 3 and not out.exists()
+
 
 class TestSeparateCommand:
     def test_end_to_end_reconstruction(self, demo_scene, demo_wav, tmp_path):
@@ -223,6 +244,19 @@ class TestSeparateCommand:
             == 2
         )
         assert not nan_out.exists()
+        # a shift range wider than the spectrum (173 bins at 8 kHz) is infeasible
+        noise = np.random.default_rng(0).standard_normal(24000) * 0.1
+        pcm_wav = tmp_path / "pcm8k.wav"
+        write_wav(pcm_wav, noise, 8000, "pcm16")
+        wide_out = tmp_path / "wide_out"
+        assert (
+            cli.main(
+                ["separate", "--input", str(pcm_wav), "--output-dir", str(wide_out),
+                 "--variant", "shift", "--delta", "400", "--k", "5", "--support", "1.0:1.2"]
+            )
+            == 4
+        )
+        assert not wide_out.exists()
 
     def test_bad_manifest_key(self, tmp_path):
         manifest = tmp_path / "bad.cfg"

@@ -30,6 +30,64 @@ def brute_force_shift_knn(mag, target, candidates, k, delta):
     return out
 
 
+def per_shift_oracle(mag, target, candidates, k, delta):
+    """The search as a loop over shifts, each scoring the whole matrix exactly.
+
+    Covered-band sum of squares of the difference plus the target's energy in
+    the uncovered band; the first shift with the smallest distance wins.
+    """
+    cands = np.unique(np.asarray(list(candidates), dtype=int))
+    cands = cands[cands != target]
+    target_col = mag[:, target]
+    best = np.full(len(cands), np.inf)
+    best_shift = np.zeros(len(cands), dtype=int)
+    for d in range(-delta, delta + 1):
+        lo, hi = max(d, 0), mag.shape[0] + min(d, 0)
+        core = mag[lo:hi] - target_col[lo - d : hi - d, None]
+        head, tail = target_col[: lo - d], target_col[hi - d :]
+        edge = float(np.dot(head, head) + np.dot(tail, tail))
+        dist = (np.einsum("ij,ij->j", core, core) + edge)[cands]
+        better = dist < best
+        best[better] = dist[better]
+        best_shift[better] = d
+    order = np.lexsort((best_shift, cands, best))[:k]
+    return [(int(cands[i]), int(best_shift[i])) for i in order]
+
+
+def near_tie_matrix(rng, n_bins, n_frames):
+    """Frames whose distances to a flat target tie in exact arithmetic.
+
+    Frame 0 is flat; every other frame holds a random pattern (odd frames) or
+    the previous frame's pattern reversed (even frames) near the middle of
+    the bins. Every shift that keeps the pattern inside the bins, and both
+    orientations, give the same distance to frame 0; only rounding tells them
+    apart, and the matrix-product form rounds differently.
+    """
+    mag = np.zeros((n_bins, n_frames))
+    mag[:, 0] = 0.5
+    quarter = n_bins // 4
+    pattern = None
+    for j in range(1, n_frames):
+        pattern = rng.random(n_bins - 2 * quarter) if j % 2 else pattern[::-1]
+        start = quarter + int(rng.integers(-quarter // 2, quarter // 2 + 1))
+        mag[start : start + len(pattern), j] = pattern
+    return mag
+
+
+def assert_search_matches_oracle(mag, k, delta, targets=None):
+    """Every target's neighbors, one at a time and all at once, equal the oracle."""
+    n_frames = mag.shape[1]
+    targets = range(n_frames) if targets is None else targets
+    expected = [per_shift_oracle(mag, t, range(n_frames), k, delta) for t in targets]
+    for t, want in zip(targets, expected):
+        got = shiftkam.knn_shift_exhaustive(mag, t, range(n_frames), k, delta)
+        assert list(got.neighbors) == want, (t, k, delta)
+    # the batched search with every target inside the candidate set
+    batch = shiftkam._exhaustive_search(mag, list(targets), np.arange(n_frames), k, delta)
+    assert [list(nset.neighbors) for nset in batch] == expected
+    assert [nset.target for nset in batch] == list(targets)
+
+
 class TestShiftFrame:
     def test_zero_shift_is_identity(self, rng):
         col = rng.random(20)
@@ -149,6 +207,98 @@ class TestKnnShiftExhaustive:
         mag = rng.random((8, 4))
         with pytest.raises(kam.KernelError):
             shiftkam.knn_shift_exhaustive(mag, 0, range(4), 4, 2)
+
+
+class TestExhaustiveEngine:
+    """The matrix-product search against the per-shift oracle."""
+
+    def test_random_matrices(self, rng):
+        for _ in range(40):
+            f = int(rng.integers(2, 40))
+            t = int(rng.integers(3, 25))
+            delta = int(rng.choice([0, 1, f, int(rng.integers(0, f + 1))]))
+            k = int(rng.integers(1, t))
+            assert_search_matches_oracle(rng.random((f, t)), k, delta)
+
+    def test_small_integer_matrices(self, rng):
+        # values in {0, 1, 2}: distances tie exactly across frames and shifts
+        for _ in range(40):
+            f = int(rng.integers(2, 30))
+            t = int(rng.integers(3, 20))
+            delta = int(rng.choice([0, 1, f, int(rng.integers(0, f + 1))]))
+            k = int(rng.integers(1, t))
+            assert_search_matches_oracle(rng.integers(0, 3, (f, t)).astype(float), k, delta)
+
+    @given(
+        arrays(np.float64, (9, 8), elements=st.sampled_from([0.0, 1.0, 2.0, 0.1, 0.7])),
+        st.sampled_from([0, 1, 3, 9]),
+        st.integers(1, 7),
+    )
+    def test_tie_heavy_property(self, mag, delta, k):
+        assert_search_matches_oracle(mag, k, delta)
+
+    def test_duplicate_and_silent_frames(self, rng):
+        for _ in range(20):
+            f = int(rng.integers(4, 40))
+            t = int(rng.integers(6, 20))
+            mag = rng.random((f, t))
+            mag[:, rng.choice(t, 2, replace=False)] = 0.0
+            src, dst = rng.choice(t, 2, replace=False)
+            mag[:, dst] = mag[:, src]
+            mag[: int(rng.integers(0, f)), int(rng.integers(0, t))] = 0.0
+            delta = int(rng.choice([0, 1, f, int(rng.integers(0, f + 1))]))
+            assert_search_matches_oracle(mag, t - 1, delta)
+            assert_search_matches_oracle(mag, int(rng.integers(1, t)), delta)
+
+    def test_near_ties_settled_by_exact_distances(self, rng):
+        for _ in range(10):
+            f = int(rng.integers(24, 64))
+            mag = near_tie_matrix(rng, f, 24)
+            for delta in (0, 1, f // 8, f):
+                for k in (3, 12, 23):
+                    assert_search_matches_oracle(mag, k, delta, targets=[0])
+
+    def test_target_inside_and_outside_the_candidates(self, rng):
+        mag = rng.random((20, 12))
+        for target in (0, 5, 11):
+            inside = shiftkam.knn_shift_exhaustive(mag, target, range(12), 4, 6)
+            outside = shiftkam.knn_shift_exhaustive(
+                mag, target, [c for c in range(12) if c != target], 4, 6
+            )
+            assert inside == outside
+            assert target not in inside.frames
+        # a target outside a smaller candidate set
+        got = shiftkam._exhaustive_search(mag, [0, 11], np.arange(1, 11), 10, 6)
+        for nset in got:
+            assert list(nset.neighbors) == per_shift_oracle(mag, nset.target, range(1, 11), 10, 6)
+
+    def test_k_equal_to_pool_returns_every_frame(self, rng):
+        mag = rng.random((16, 9))
+        nset = shiftkam.knn_shift_exhaustive(mag, 4, range(9), 8, 5)
+        assert sorted(nset.frames) == [0, 1, 2, 3, 5, 6, 7, 8]
+        assert list(nset.neighbors) == per_shift_oracle(mag, 4, range(9), 8, 5)
+
+    def test_delta_beyond_bins_rejected(self, rng):
+        mag = rng.random((8, 6))
+        nset = shiftkam.knn_shift_exhaustive(mag, 0, range(6), 3, 8)
+        assert list(nset.neighbors) == per_shift_oracle(mag, 0, range(6), 3, 8)
+        with pytest.raises(kam.KernelError, match="exceeds the 8 frequency bins"):
+            shiftkam.knn_shift_exhaustive(mag, 0, range(6), 3, 9)
+        config = kam.SeparationConfig(k=3, delta=9, variant="shift_exhaustive", support={2})
+        with pytest.raises(kam.KernelError):
+            kam.plan_neighbors(mag, config)
+
+    def test_plan_neighbors_matches_per_target_calls(self, rng):
+        mag = rng.random((40, 60))
+        support = {7, 8, 9, 30, 31, 59}
+        candidates = [c for c in range(60) if c not in support]
+        for variant, delta in (("baseline", 0), ("shift_exhaustive", 12)):
+            config = kam.SeparationConfig(k=15, delta=12, variant=variant, support=support)
+            plans = kam.plan_neighbors(mag, config)
+            assert sorted(plans) == sorted(support)
+            for t, nset in plans.items():
+                assert nset == shiftkam.knn_shift_exhaustive(mag, t, candidates, 15, delta)
+                assert list(nset.neighbors) == per_shift_oracle(mag, t, candidates, 15, delta)
 
 
 class TestMedianEstimateShifted:
