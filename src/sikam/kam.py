@@ -160,12 +160,15 @@ def plan_neighbors(mag, config: SeparationConfig) -> dict[int, NeighborSet]:
 
     Candidates are all frames outside the support. Raises
     :class:`KernelError` when the pool cannot supply k (plus surplus for the
-    pruned variant) candidates.
+    pruned variant) candidates, or when ``config.delta`` exceeds the number
+    of frequency bins.
     """
     from . import shiftkam, specmurt
 
     data = _as_matrix(mag)
-    n_frames = data.shape[1]
+    n_bins, n_frames = data.shape
+    if config.delta > n_bins:
+        raise KernelError(f"delta={config.delta} exceeds the {n_bins} frequency bins")
     support = sorted(t for t in config.support)
     if not support:
         return {}

@@ -101,13 +101,12 @@ def _exhaustive_search(data, targets, cands, k: int, delta: int) -> list[Neighbo
     top K. Those are re-scored exactly (every shift of a frame whose
     runner-up is within 2m of its best) unless the margin already settles
     the top K, its order and every shift. A target never neighbors itself;
-    callers make sure each target keeps at least k candidates.
+    callers make sure each target keeps at least k candidates and that
+    delta does not exceed the bin count.
     """
     data = np.asarray(data, dtype=float)
     targets = np.asarray(targets, dtype=int)
     n_bins, n_frames = data.shape
-    if delta > n_bins:
-        raise KernelError(f"delta={delta} exceeds the {n_bins} frequency bins")
     valid = np.zeros((len(targets), n_frames), dtype=bool)
     valid[:, cands] = True
     valid[np.arange(len(targets)), targets] = False
@@ -169,10 +168,13 @@ def knn_shift_exhaustive(
     This is the one-target case of the search :func:`kam.plan_neighbors`
     runs for all support frames at once.
     """
+    data = _as_matrix(mag)
+    if delta > data.shape[0]:
+        raise KernelError(f"delta={delta} exceeds the {data.shape[0]} frequency bins")
     cands = _candidate_array(candidates, target)
     if len(cands) < k:
         raise KernelError(
             f"need at least k={k} candidate frames, got {len(cands)} "
             "(one shift per frame is kept)"
         )
-    return _exhaustive_search(_as_matrix(mag), [target], cands, k, delta)[0]
+    return _exhaustive_search(data, [target], cands, k, delta)[0]

@@ -3,12 +3,15 @@
 The forward transform projects short-time frames onto a bank of windowed
 complex exponentials whose center frequencies are geometrically spaced,
 ``f_min * 2**(k / bins_per_octave)``, so transposing a harmonic sound by an
-integer number of bins translates its spectral pattern vertically. A plain
-linear-frequency STFT of the same frames is kept alongside the log-domain
-coefficients; resynthesis derives per-bin gains in the log domain, maps them
-back onto the linear grid through a sparse interpolation matrix, and runs
-weighted overlap-add. The unmodified round trip is therefore exact up to
-floating point, and masked spectrograms resynthesize through the same path.
+integer number of bins translates its spectral pattern vertically. The
+analysed samples are kept alongside the log-domain coefficients.
+Resynthesis finds the frames whose coefficients a mask changed, takes the
+plain linear-frequency STFT of those frames and their overlapping
+neighbours from the kept samples, derives per-bin gains in the log domain,
+maps them back onto the linear grid through a sparse interpolation matrix,
+and runs weighted overlap-add over them; every sample no changed frame
+touches is the input sample itself. An unmodified spectrogram therefore
+inverts to its input exactly, and masked ones through the same path.
 """
 
 from __future__ import annotations
@@ -98,16 +101,15 @@ class ComplexSpectrogram:
 
     Instances are immutable; masking produces a new instance via
     :meth:`with_data`. Spectrograms created by :func:`forward_logfreq` carry
-    the linear-frequency STFT of the same frames, which is what makes them
-    invertible; hand-built instances cannot be resynthesized.
+    the analysed samples and the unmodified coefficients, which is what makes
+    them invertible; hand-built instances cannot be resynthesized.
     """
 
     data: np.ndarray
     params: TransformParams
     frame_times: np.ndarray
-    _linear: np.ndarray | None = field(default=None, repr=False)
+    _signal: np.ndarray | None = field(default=None, repr=False)
     _base: np.ndarray | None = field(default=None, repr=False)
-    _n_samples: int = field(default=0, repr=False)
 
     @property
     def n_bins(self) -> int:
@@ -174,16 +176,18 @@ def _mask_backmap(params: TransformParams) -> scipy.sparse.csr_matrix:
     return mat
 
 
-def _frame_matrix(signal: np.ndarray, params: TransformParams) -> np.ndarray:
-    """Centered, zero-padded frames as a (T, window) matrix."""
+def _frame_matrix(
+    signal: np.ndarray, params: TransformParams, frames: np.ndarray | None = None
+) -> np.ndarray:
+    """Centered, zero-padded frames as a (T, window) matrix, or only ``frames``."""
     win, hop = params.window_length, params.hop
     padded = np.concatenate(
         [np.zeros(win // 2), signal, np.zeros(win // 2)]
     )
-    n_frames = 1 + (len(signal) - 1) // hop
+    if frames is None:
+        frames = np.arange(n_frames_for(params, len(signal)))
     view = np.lib.stride_tricks.sliding_window_view(padded, win)
-    starts = np.arange(n_frames) * hop
-    return np.ascontiguousarray(view[starts])
+    return np.ascontiguousarray(view[frames * hop])
 
 
 def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
@@ -202,7 +206,7 @@ def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
         F x T complex matrix with one column per hop. A pure tone at the
         frequency of bin k peaks in bin k (within one bin).
     """
-    x = np.asarray(signal, dtype=np.float64)
+    x = np.array(signal, dtype=np.float64)
     if x.ndim != 1:
         raise TransformError("signal must be one-dimensional")
     if not np.all(np.isfinite(x)):
@@ -217,36 +221,48 @@ def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
     frames = _frame_matrix(x, params)
     kernel = _analysis_kernel(params)
     log_data = (frames @ kernel.real.T + 1j * (frames @ kernel.imag.T)).T
-    w = np.hanning(params.window_length)
-    linear = np.fft.rfft(frames * w, axis=1).T
     frame_times = np.arange(frames.shape[0]) * params.hop / params.sample_rate
     return ComplexSpectrogram(
         data=log_data,
         params=params,
         frame_times=frame_times,
-        _linear=linear,
+        _signal=x,
         _base=log_data,
-        _n_samples=len(x),
     )
 
 
-def _overlap_add(lin: np.ndarray, params: TransformParams, n_samples: int) -> np.ndarray:
+def _covered(starts: np.ndarray, length: int, size: int) -> np.ndarray:
+    """Boolean mask over ``range(size)`` of the union of [s, s + length)."""
+    edges = np.zeros(size + 1, dtype=int)
+    np.add.at(edges, np.clip(starts, 0, size), 1)
+    np.add.at(edges, np.clip(starts + length, 0, size), -1)
+    return np.cumsum(edges[:-1]) > 0
+
+
+def _overlap_add(lin: np.ndarray, frames: np.ndarray, params: TransformParams):
+    """Windowed overlap-add of the linear STFT columns of ascending ``frames``.
+
+    Returns the accumulated samples and squared-window sums as two flat
+    arrays over the padded samples from ``frames[0] * hop`` on. Frame t
+    covers ``blocks`` hop-long blocks from block t; block b of every frame is
+    added in one step, last block first, so each sample receives its frames
+    in ascending order.
+    """
     win, hop = params.window_length, params.hop
-    w = np.hanning(win)
-    frames = np.fft.irfft(lin, n=win, axis=0)
-    n_frames = lin.shape[1]
-    length = (n_frames - 1) * hop + win
-    acc = np.zeros(length)
-    den = np.zeros(length)
-    wsq = w * w
-    for t in range(n_frames):
-        s = t * hop
-        acc[s : s + win] += w * frames[:, t]
-        den[s : s + win] += wsq
-    floor = den.max() * 1e-12
-    y = acc / np.maximum(den, floor)
-    pad = win // 2
-    return y[pad : pad + n_samples]
+    blocks = -(-win // hop)
+    w = np.zeros(blocks * hop)
+    w[:win] = np.hanning(win)
+    seg = np.zeros((len(frames), blocks * hop))
+    seg[:, :win] = np.fft.irfft(lin, n=win, axis=0).T
+    seg = (seg * w).reshape(len(frames), blocks, hop)
+    wsq = (w * w).reshape(blocks, hop)
+    slot = frames - frames[0]
+    acc = np.zeros((slot[-1] + blocks, hop))
+    den = np.zeros_like(acc)
+    for b in reversed(range(blocks)):
+        acc[slot + b] += seg[:, b]
+        den[slot + b] += wsq[b]
+    return acc.ravel(), den.ravel()
 
 
 def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
@@ -254,11 +270,13 @@ def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
 
     The per-bin ratio between the current coefficients and the coefficients
     recorded at analysis time is interpreted as a gain, mapped back onto the
-    linear-frequency grid, applied to the retained STFT, and overlap-added.
-    For an unmodified spectrogram every ratio is one and the reconstruction
-    is exact up to floating point.
+    linear-frequency grid, applied to the STFT of the analysed samples, and
+    overlap-added. Only frames whose coefficients differ from the recorded
+    ones, and the frames overlapping them, are resynthesized; every sample
+    outside the changed frames is returned as analysed. An unmodified
+    spectrogram therefore inverts to its input exactly.
     """
-    if spect._linear is None or spect._base is None:
+    if spect._signal is None or spect._base is None:
         raise TransformError(
             "spectrogram lacks resynthesis state; only spectrograms produced "
             "by forward_logfreq (or masked copies of them) can be inverted"
@@ -267,10 +285,28 @@ def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
         raise TransformError("data/params mismatch in spectrogram")
     if spect.data.shape[0] != spect.params.n_bins:
         raise TransformError("data/params mismatch in spectrogram")
-    ratio = np.zeros_like(spect.data)
-    np.divide(spect.data, spect._base, out=ratio, where=spect._base != 0)
-    lin_gain = _mask_backmap(spect.params) @ ratio
-    return _overlap_add(lin_gain * spect._linear, spect.params, spect._n_samples)
+    params, x = spect.params, spect._signal
+    win, hop = params.window_length, params.hop
+    changed = np.flatnonzero(np.any(spect.data != spect._base, axis=0))
+    if len(changed) == 0:
+        return x.copy()
+    # Every frame sharing a sample with a changed frame, in ascending order.
+    reach = -(-win // hop) - 1
+    frames = np.flatnonzero(_covered(changed - reach, 2 * reach + 1, spect.n_frames))
+    base = spect._base[:, frames]
+    ratio = np.zeros_like(base)
+    np.divide(spect.data[:, frames], base, out=ratio, where=base != 0)
+    lin_gain = _mask_backmap(params) @ ratio
+    lin = np.fft.rfft(_frame_matrix(x, params, frames) * np.hanning(win), axis=1).T
+    acc, den = _overlap_add(lin_gain * lin, frames, params)
+    # The samples the changed frames cover get every overlapping frame; the
+    # window constraint (win >= 2 * hop) keeps their window sums positive.
+    at = np.flatnonzero(_covered((changed - frames[0]) * hop, win, len(acc)))
+    sample = at + frames[0] * hop - win // 2
+    inside = (sample >= 0) & (sample < len(x))
+    y = x.copy()
+    y[sample[inside]] = acc[at[inside]] / den[at[inside]]
+    return y
 
 
 def n_frames_for(params: TransformParams, n_samples: int) -> int:

@@ -143,6 +143,27 @@ class TestSeparateCommand:
             b = (outs[1] / fname).read_bytes()
             assert a == b
 
+    @pytest.mark.parametrize("variant", ["baseline", "shift", "specmurt", "specmurt-pruned"])
+    def test_input_kept_outside_support_frames(self, demo_scene, demo_wav, tmp_path, variant):
+        out = tmp_path / "out"
+        code = cli.main(
+            ["separate", "--input", str(demo_wav), "--output-dir", str(out),
+             "--variant", variant, "--support", support_arg(demo_scene), "--k", "20"]
+        )
+        assert code == 0
+        x, _, _ = read_wav(demo_wav)
+        s, _, _ = read_wav(out / "source.wav")
+        n, _, _ = read_wav(out / "interference.wav")
+        report = json.loads((out / "report.json").read_text())
+        hop, win = report["config"]["hop"], report["config"]["window_length"]
+        touched = np.zeros(len(x), dtype=bool)
+        for t in report["support_frames"]:
+            touched[max(t * hop - win // 2, 0) : t * hop - win // 2 + win] = True
+        assert 0 < touched.sum() < len(x)
+        assert np.array_equal(s[~touched], x[~touched])
+        assert not np.any(n[~touched])
+        assert np.any(n[touched])
+
     def test_empty_support_passes_input_through(self, demo_wav, tmp_path):
         out = tmp_path / "out"
         code = cli.main(
@@ -257,6 +278,16 @@ class TestSeparateCommand:
             == 4
         )
         assert not wide_out.exists()
+        for variant in ("specmurt", "specmurt-pruned"):
+            assert (
+                cli.main(
+                    ["separate", "--input", str(pcm_wav), "--output-dir", str(wide_out),
+                     "--variant", variant, "--delta", "400", "--k", "5", "--p", "5",
+                     "--support", "1.0:1.2"]
+                )
+                == 4
+            )
+            assert not wide_out.exists()
 
     def test_bad_manifest_key(self, tmp_path):
         manifest = tmp_path / "bad.cfg"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -237,6 +239,16 @@ class TestSeparate:
         for nset in plans.values():
             assert len(nset) == 6
             assert not set(nset.frames.tolist()) & support
+
+    @pytest.mark.parametrize(
+        "variant", ["baseline", "shift_exhaustive", "specmurt", "specmurt_pruned"]
+    )
+    def test_delta_beyond_bins_rejected(self, rng, variant):
+        mag = rng.random((8, 30))
+        config = kam.SeparationConfig(k=3, delta=9, surplus=3, variant=variant, support={2})
+        with pytest.raises(kam.KernelError, match="delta=9 exceeds the 8 frequency bins"):
+            kam.plan_neighbors(mag, config)
+        assert len(kam.plan_neighbors(mag, replace(config, delta=8))[2]) == 3
 
 
 class TestSeparationConfig:

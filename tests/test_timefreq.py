@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import SMALL_PARAMS
 from sikam import timefreq as tf
 
 
@@ -99,6 +104,14 @@ class TestForward:
         hi = np.argmax(np.abs(spect_hi.data[:, mid]))
         assert abs((hi - lo) - 24) <= 1
 
+    def test_no_linear_stft_kept(self):
+        spect = tf.forward_logfreq(np.zeros(44100), DEFAULT)
+        full = DEFAULT.n_linear_bins * spect.n_frames
+        for f in dataclasses.fields(spect):
+            value = getattr(spect, f.name)
+            if isinstance(value, np.ndarray):
+                assert value.size < full, f.name
+
     def test_frame_times_spacing(self, small_params):
         spect = tf.forward_logfreq(np.zeros(4000), small_params)
         dt = np.diff(spect.frame_times)
@@ -169,6 +182,124 @@ class TestMasking:
         spect = tf.forward_logfreq(rng.standard_normal(4000), small_params)
         with pytest.raises(tf.TransformError):
             spect.with_data(np.ones((3, 3)))
+
+
+def full_overlap_add_inverse(spect):
+    """Resynthesis of every frame: linear STFT of all frames, gains, and a
+    per-frame overlap-add loop (the inverse before changed-frame splicing)."""
+    params, x = spect.params, spect._signal
+    win, hop = params.window_length, params.hop
+    w = np.hanning(win)
+    linear = np.fft.rfft(tf._frame_matrix(x, params) * w, axis=1).T
+    ratio = np.zeros_like(spect.data)
+    np.divide(spect.data, spect._base, out=ratio, where=spect._base != 0)
+    frames = np.fft.irfft((tf._mask_backmap(params) @ ratio) * linear, n=win, axis=0)
+    n_frames = frames.shape[1]
+    acc = np.zeros((n_frames - 1) * hop + win)
+    den = np.zeros_like(acc)
+    for t in range(n_frames):
+        acc[t * hop : t * hop + win] += w * frames[:, t]
+        den[t * hop : t * hop + win] += w * w
+    y = acc / np.maximum(den, den.max() * 1e-12)
+    return y[win // 2 : win // 2 + len(x)]
+
+
+def samples_of_frames(params, frames, n_samples):
+    """Mask of the samples inside the analysis span of any of ``frames``."""
+    hit = np.zeros(n_samples, dtype=bool)
+    for t in frames:
+        start = t * params.hop - params.window_length // 2
+        hit[max(start, 0) : max(start + params.window_length, 0)] = True
+    return hit
+
+
+def assert_matches_full_inverse(spect, mask):
+    """Changed-frame samples equal the full inverse bit for bit; the rest
+    are the analysed samples."""
+    masked = spect.with_data(spect.data * mask)
+    changed = np.flatnonzero(np.any(masked.data != spect.data, axis=0))
+    y = tf.inverse_logfreq(masked)
+    x = spect._signal
+    hit = samples_of_frames(spect.params, changed, len(x))
+    assert np.array_equal(y[hit], full_overlap_add_inverse(masked)[hit])
+    assert np.array_equal(y[~hit], x[~hit])
+    return changed, hit
+
+
+PARAMS_UNEVEN_HOP = tf.TransformParams(
+    sample_rate=8000.0, bins_per_octave=12, f_min=40.0, hop=96, window_length=500
+)
+
+
+class TestChangedFrameResynthesis:
+    @pytest.mark.parametrize(
+        "pick",
+        [
+            lambda n: [0],
+            lambda n: [n - 1],
+            lambda n: [0, n - 1],
+            lambda n: [3, 4, 5, 6],
+            lambda n: [2, 11, 12, 20],
+            lambda n: list(range(n)),
+        ],
+        ids=["first", "last", "both-ends", "adjacent", "scattered", "all"],
+    )
+    def test_matches_full_inverse(self, small_params, rng, pick):
+        spect = tf.forward_logfreq(rng.standard_normal(4000), small_params)
+        cols = pick(spect.n_frames)
+        mask = np.ones(spect.data.shape)
+        mask[:, cols] = rng.random((spect.n_bins, len(cols)))
+        changed, hit = assert_matches_full_inverse(spect, mask)
+        assert list(changed) == cols
+        assert hit.all() == (cols == list(range(spect.n_frames)))
+
+    @pytest.mark.parametrize(
+        "params",
+        [tf.TransformParams(window_policy="per_bin"), PARAMS_UNEVEN_HOP],
+        ids=["per_bin", "hop-not-dividing-window"],
+    )
+    def test_other_params_match_full_inverse(self, params, rng):
+        spect = tf.forward_logfreq(rng.standard_normal(int(params.sample_rate)), params)
+        mask = np.ones(spect.data.shape)
+        for cols in ([0, 1], [spect.n_frames // 2], [spect.n_frames - 1]):
+            mask[:, cols] = rng.random((spect.n_bins, len(cols)))
+        assert_matches_full_inverse(spect, mask)
+
+    def test_unmodified_returns_input(self, small_params, rng):
+        x = rng.standard_normal(4000)
+        spect = tf.forward_logfreq(x, small_params)
+        y = tf.inverse_logfreq(spect)
+        assert np.array_equal(y, x)
+        # neither the caller's signal nor the returned samples alias the state
+        x_kept = x.copy()
+        x[:] = 0.0
+        y[:] = 0.0
+        assert np.array_equal(tf.inverse_logfreq(spect), x_kept)
+
+    def test_gain_of_one_is_not_a_change(self, small_params, rng):
+        # x * 1.0 == x exactly, although the ratio x / x of a complex x
+        # need not be exactly 1: such frames keep the analysed samples.
+        spect = tf.forward_logfreq(rng.standard_normal(4000), small_params)
+        mask = np.ones(spect.data.shape)
+        mask[:, 7] = 0.5
+        changed, hit = assert_matches_full_inverse(spect, mask)
+        assert list(changed) == [7] and 0 < hit.sum() <= small_params.window_length
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cols=st.sets(st.integers(0, 31), min_size=1, max_size=8),
+        silent_stretch=st.booleans(),
+    )
+    def test_random_masks_match_full_inverse(self, seed, cols, silent_stretch):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(32 * 128 - 100)  # 32 frames
+        if silent_stretch:
+            x[1000:2500] = 0.0  # digitally silent frames have zero coefficients
+        spect = tf.forward_logfreq(x, SMALL_PARAMS)
+        cols = sorted(cols)
+        mask = np.ones(spect.data.shape)
+        mask[:, cols] = rng.random((spect.n_bins, len(cols))) * rng.integers(0, 2, len(cols))
+        assert_matches_full_inverse(spect, mask)
 
 
 class TestTranslation:
