@@ -242,27 +242,20 @@ def _covered(starts: np.ndarray, length: int, size: int) -> np.ndarray:
 def _overlap_add(lin: np.ndarray, frames: np.ndarray, params: TransformParams):
     """Windowed overlap-add of the linear STFT columns of ascending ``frames``.
 
-    Returns the accumulated samples and squared-window sums as two flat
-    arrays over the padded samples from ``frames[0] * hop`` on. Frame t
-    covers ``blocks`` hop-long blocks from block t; block b of every frame is
-    added in one step, last block first, so each sample receives its frames
-    in ascending order.
+    Returns the accumulated samples and squared-window sums over the padded
+    samples from ``frames[0] * hop`` on.
     """
     win, hop = params.window_length, params.hop
-    blocks = -(-win // hop)
-    w = np.zeros(blocks * hop)
-    w[:win] = np.hanning(win)
-    seg = np.zeros((len(frames), blocks * hop))
-    seg[:, :win] = np.fft.irfft(lin, n=win, axis=0).T
-    seg = (seg * w).reshape(len(frames), blocks, hop)
-    wsq = (w * w).reshape(blocks, hop)
-    slot = frames - frames[0]
-    acc = np.zeros((slot[-1] + blocks, hop))
+    w = np.hanning(win)
+    wsq = w * w
+    segs = np.fft.irfft(lin, n=win, axis=0)
+    acc = np.zeros((frames[-1] - frames[0]) * hop + win)
     den = np.zeros_like(acc)
-    for b in reversed(range(blocks)):
-        acc[slot + b] += seg[:, b]
-        den[slot + b] += wsq[b]
-    return acc.ravel(), den.ravel()
+    for j, t in enumerate(frames):
+        s = (t - frames[0]) * hop
+        acc[s : s + win] += w * segs[:, j]
+        den[s : s + win] += wsq
+    return acc, den
 
 
 def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
@@ -299,13 +292,17 @@ def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
     lin_gain = _mask_backmap(params) @ ratio
     lin = np.fft.rfft(_frame_matrix(x, params, frames) * np.hanning(win), axis=1).T
     acc, den = _overlap_add(lin_gain * lin, frames, params)
-    # The samples the changed frames cover get every overlapping frame; the
-    # window constraint (win >= 2 * hop) keeps their window sums positive.
+    # The samples the changed frames cover get every overlapping frame. For
+    # every hop phase the kept frames also hold a sample that all its frames
+    # cover, so den.max() and the floor equal those of a full overlap-add.
+    # The floor turns a zero window sum (the last sample when win == 2 * hop
+    # and hop divides the length) into 0 instead of NaN.
+    floor = den.max() * 1e-12
     at = np.flatnonzero(_covered((changed - frames[0]) * hop, win, len(acc)))
     sample = at + frames[0] * hop - win // 2
     inside = (sample >= 0) & (sample < len(x))
     y = x.copy()
-    y[sample[inside]] = acc[at[inside]] / den[at[inside]]
+    y[sample[inside]] = acc[at[inside]] / np.maximum(den[at[inside]], floor)
     return y
 
 

@@ -265,6 +265,23 @@ class TestChangedFrameResynthesis:
             mask[:, cols] = rng.random((spect.n_bins, len(cols)))
         assert_matches_full_inverse(spect, mask)
 
+    @pytest.mark.parametrize("hop, n_frames", [(128, 32), (2048, 16)])
+    def test_zero_window_sum_at_the_end(self, rng, hop, n_frames):
+        # With win == 2 * hop and a length that hop divides, the last sample
+        # meets only the zero end tap of the last frame, so its window sum
+        # is 0; for win = 4096 the sum one sample earlier is below the floor.
+        params = tf.TransformParams(
+            sample_rate=8000.0, bins_per_octave=12, f_min=40.0, hop=hop, window_length=2 * hop
+        )
+        spect = tf.forward_logfreq(rng.standard_normal(n_frames * hop), params)
+        assert spect.n_frames == n_frames
+        mask = np.ones(spect.data.shape)
+        mask[:, -1] = rng.random(spect.n_bins)
+        with np.errstate(divide="raise", invalid="raise"):
+            y = tf.inverse_logfreq(spect.with_data(spect.data * mask))
+        assert np.isfinite(y).all() and y[-1] == 0.0
+        assert_matches_full_inverse(spect, mask)
+
     def test_unmodified_returns_input(self, small_params, rng):
         x = rng.standard_normal(4000)
         spect = tf.forward_logfreq(x, small_params)
