@@ -1,8 +1,15 @@
 """Command-line interface: the separate, eval and bench subcommands.
 
-Exit codes: 0 on success, 2 for bad arguments, 3 for I/O failures, 4 for
-configurations that are valid in form but infeasible for the given input
-(for example a candidate pool smaller than k).
+Every `separate` setting is a flag whose default comes from SeparationConfig
+or TransformParams. A manifest (`--config run.cfg`) line `key = value` is read
+as the flag `--key=value` (`_` in the key read as `-`), placed before the
+command line's flags so that those win.
+
+Exit codes: 0 on success, 2 for bad arguments (an unknown flag or manifest
+key, a malformed value, or a setting out of range such as k < 1), 3 for I/O
+failures (also an unreadable manifest), 4 for configurations that are valid
+in form but infeasible for the given input (for example a candidate pool
+smaller than k). Codes 2 and 4 are raised before anything is written.
 """
 
 from __future__ import annotations
@@ -45,63 +52,43 @@ VARIANT_BY_FLAG = {
     "specmurt-pruned": "specmurt_pruned",
 }
 
+# The TransformParams fields a `separate` run takes as flags; the sample rate
+# comes from the input file.
+_TRANSFORM_FLAGS = ("f_min", "bins_per_octave", "hop", "window_length", "window_policy", "gamma")
+
 
 class UsageError(ValueError):
     pass
 
 
-@dataclasses.dataclass
-class RunManifest:
-    """Everything one `separate` run needs; file values, then flag overrides."""
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` for a bad flag, so :func:`main` returns 2."""
 
-    input: str = ""
-    output_dir: str = "."
-    variant: str = "baseline"
-    k: int = 300
-    delta: int = 48
-    p: int = -1  # -1 means the default surplus (2 * k)
-    support: str = ""
-    seed: int = 0
-    f_min: float = 27.5
-    bins_per_octave: int = 24
-    hop: int = 512
-    window_length: int = 4096
-    window_policy: str = "fixed"
-    gamma: float = 20.0
-    drop_head: int = 1
-    clamp_shifts: bool = True
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
 
-    @classmethod
-    def from_file(cls, path) -> "RunManifest":
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        values = {}
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise AudioIOError(f"cannot read manifest {path}: {exc}") from exc
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in fields:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            ftype = fields[key].type
-            try:
-                if ftype == "bool" or ftype is bool:
-                    values[key] = value.lower() in ("1", "true", "yes", "on")
-                elif ftype == "int" or ftype is int:
-                    values[key] = int(value)
-                elif ftype == "float" or ftype is float:
-                    values[key] = float(value)
-                else:
-                    values[key] = value
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        return cls(**values)
+
+def _manifest_flags(path) -> list[str]:
+    """The `key = value` lines of a manifest as `--key=value` flags.
+
+    `#` starts a comment. The `=` form keeps a value that starts with `-`,
+    such as a negative number, a value.
+    """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeError) as exc:
+        raise AudioIOError(f"cannot read manifest {path}: {exc}") from exc
+    flags = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def parse_support_ranges(text: str) -> list[tuple[float, float]]:
@@ -141,45 +128,27 @@ def _shift_histogram(plans) -> dict[str, int]:
     return dict(sorted(counts.items(), key=lambda kv: int(kv[0])))
 
 
+def _kernel_config(args, **settings) -> SeparationConfig:
+    """The --k, --delta and --p flags as a config; a value out of range is a usage error."""
+    try:
+        return SeparationConfig(k=args.k, delta=args.delta, surplus=args.p, **settings)
+    except KernelError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_separate(args) -> int:
-    manifest = (
-        RunManifest.from_file(args.config) if args.config else RunManifest()
-    )
-    for name in (
-        "input",
-        "output_dir",
-        "variant",
-        "k",
-        "delta",
-        "p",
-        "support",
-        "seed",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            setattr(manifest, name, value)
-    if not manifest.input:
+    if not args.input:
         raise UsageError("no input file given (flag --input or manifest key)")
-    if manifest.variant not in VARIANT_BY_FLAG:
-        raise UsageError(
-            f"unknown variant {manifest.variant!r}; "
-            f"choose from {', '.join(VARIANT_BY_FLAG)}"
-        )
-    ranges = parse_support_ranges(manifest.support)
+    config = _kernel_config(args, variant=VARIANT_BY_FLAG[args.variant])
+    ranges = parse_support_ranges(args.support)
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    samples, rate, subtype = read_wav(manifest.input)
+    samples, rate, subtype = read_wav(args.input)
     timings["read"] = time.perf_counter() - t0
 
     params = TransformParams(
-        sample_rate=rate,
-        bins_per_octave=manifest.bins_per_octave,
-        f_min=manifest.f_min,
-        hop=manifest.hop,
-        window_length=manifest.window_length,
-        window_policy=manifest.window_policy,
-        gamma=manifest.gamma,
+        sample_rate=rate, **{name: getattr(args, name) for name in _TRANSFORM_FLAGS}
     )
     channels = samples[:, None] if samples.ndim == 1 else samples
     duration = channels.shape[0] / rate
@@ -197,15 +166,7 @@ def cmd_separate(args) -> int:
     support: set[int] = set()
     for lo, hi in ranges:
         support.update(int(t) for t in frames_overlapping(params, n_frames, lo, hi))
-    config = SeparationConfig(
-        k=manifest.k,
-        delta=manifest.delta,
-        surplus=None if manifest.p < 0 else manifest.p,
-        variant=VARIANT_BY_FLAG[manifest.variant],
-        support=frozenset(support),
-        drop_head=manifest.drop_head,
-        clamp_shifts=manifest.clamp_shifts,
-    )
+    config = dataclasses.replace(config, support=frozenset(support))
 
     # Shared neighbor sets from the channel-mean magnitude.
     t0 = time.perf_counter()
@@ -229,14 +190,16 @@ def cmd_separate(args) -> int:
         source, interference = source[:, 0], interference[:, 0]
     timings["resynthesis"] = time.perf_counter() - t0
 
-    out_dir = _make_dir(Path(manifest.output_dir))
+    out_dir = _make_dir(Path(args.output_dir))
     t0 = time.perf_counter()
     write_wav(out_dir / "source.wav", source, rate, subtype)
     write_wav(out_dir / "interference.wav", interference, rate, subtype)
     timings["write"] = time.perf_counter() - t0
 
     report = {
-        "config": dataclasses.asdict(manifest),
+        "config": {
+            name: value for name, value in vars(args).items() if name not in ("command", "fn")
+        },
         "sample_rate": rate,
         "channels": channels.shape[1],
         "n_frames": n_frames,
@@ -256,6 +219,7 @@ def cmd_separate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    config = _kernel_config(args)
     contents = ("melody", "chords") if args.content == "both" else (args.content,)
     placements = (
         ("repeated", "not_repeated") if args.placement == "both" else (args.placement,)
@@ -266,9 +230,6 @@ def cmd_eval(args) -> int:
         if flag not in VARIANT_BY_FLAG:
             raise UsageError(f"unknown variant {flag!r}")
         variants.append(VARIANT_BY_FLAG[flag])
-    config = SeparationConfig(
-        k=args.k, delta=args.delta, surplus=None if args.p < 0 else args.p
-    )
     results = []
     for content in contents:
         for placement in placements:
@@ -342,26 +303,51 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--k", type=int, default=SeparationConfig.k, help="neighbors per frame")
+    parser.add_argument(
+        "--delta", type=int, default=SeparationConfig.delta, help="maximum shift in bins"
+    )
+    parser.add_argument(
+        "--p", type=int, default=SeparationConfig.surplus, help="pruning surplus (default 2k)"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sikam",
         description="Interference reduction via shift-invariant kernel additive modelling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sep = sub.add_parser("separate", help="separate one WAV into source + interference")
+    # No abbreviated flags, so a manifest key is the whole flag name.
+    p_sep = sub.add_parser(
+        "separate", help="separate one WAV into source + interference", allow_abbrev=False
+    )
     p_sep.add_argument("--input", help="input WAV (16-bit PCM or 32-bit float)")
-    p_sep.add_argument("--output-dir", dest="output_dir", help="where to write outputs")
-    p_sep.add_argument("--variant", choices=sorted(VARIANT_BY_FLAG), help="kernel variant")
-    p_sep.add_argument("--k", type=int, help="neighbors per processed frame")
-    p_sep.add_argument("--delta", type=int, help="maximum frequency shift in bins")
-    p_sep.add_argument("--p", type=int, help="pruning surplus (default 2*k)")
+    p_sep.add_argument("--output-dir", default=".", help="where to write outputs")
+    # "baseline" names both the variant and its flag.
+    p_sep.add_argument(
+        "--variant",
+        choices=sorted(VARIANT_BY_FLAG),
+        default=SeparationConfig.variant,
+        help="kernel variant",
+    )
+    _add_kernel_flags(p_sep)
     p_sep.add_argument(
         "--support",
+        default="",
         help="interference location, seconds: start:end[,start:end...]",
     )
-    p_sep.add_argument("--seed", type=int, help="recorded in the report")
-    p_sep.add_argument("--config", help="manifest file with key = value lines")
+    for name in _TRANSFORM_FLAGS:
+        default = getattr(TransformParams, name)
+        p_sep.add_argument(
+            "--" + name.replace("_", "-"),
+            type=type(default),
+            default=default,
+            help="log-frequency transform setting (default %(default)s)",
+        )
+    p_sep.add_argument("--config", help="manifest file of `flag_name = value` lines")
     p_sep.set_defaults(fn=cmd_separate)
 
     p_eval = sub.add_parser("eval", help="run the bundled synthetic evaluation grid")
@@ -376,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="baseline,shift,specmurt,specmurt-pruned",
         help="comma-separated variant flags",
     )
-    p_eval.add_argument("--k", type=int, default=300)
-    p_eval.add_argument("--delta", type=int, default=48)
-    p_eval.add_argument("--p", type=int, default=-1)
+    _add_kernel_flags(p_eval)
     p_eval.add_argument("--snr", type=float, default=12.0)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.set_defaults(fn=cmd_eval)
@@ -398,23 +382,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # The manifest's flags go right after the command, so the command line wins.
+            args = parser.parse_args(argv[:1] + _manifest_flags(args.config) + argv[1:])
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TransformError as exc:
+    except (UsageError, TransformError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AudioIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except KernelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except evaluate.EvalError as exc:
+    except (KernelError, evaluate.EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

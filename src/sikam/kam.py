@@ -64,11 +64,6 @@ class SeparationConfig:
     support : frozenset[int]
         Frame indices containing the interference; only these are processed,
         and they are excluded from every candidate pool.
-    drop_head : int
-        Leading specmurt coefficients to discard in the accelerated variants.
-    clamp_shifts : bool
-        Clamp deconvolution shifts to [-delta, delta]; disable to allow the
-        accelerated variants to use arbitrary shifts.
     """
 
     k: int = 300
@@ -76,8 +71,6 @@ class SeparationConfig:
     surplus: int | None = None
     variant: str = "baseline"
     support: frozenset = field(default_factory=frozenset)
-    drop_head: int = 1
-    clamp_shifts: bool = True
 
     def __post_init__(self):
         if self.surplus is None:
@@ -193,18 +186,10 @@ def plan_neighbors(mag, config: SeparationConfig) -> dict[int, NeighborSet]:
         plans.update(zip(support, found))
     else:
         surplus = config.surplus if config.variant == "specmurt_pruned" else 0
-        spec = specmurt.specmurt_matrix(data, config.drop_head)
+        spec = specmurt.specmurt_matrix(data)
         for t in support:
             plans[t] = specmurt.knn_specmurt_pruned(
-                data,
-                t,
-                candidates,
-                config.k,
-                surplus,
-                config.delta,
-                drop_head=config.drop_head,
-                clamp=config.clamp_shifts,
-                spec=spec,
+                data, t, candidates, config.k, surplus, config.delta, spec=spec
             )
     return plans
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 
 class SynthError(ValueError):
@@ -139,6 +138,10 @@ def interference_clip(
     thump), "chair_drag" (modulated broadband scrape), "drop" (decaying
     impulse train).
     """
+    # Imported here, not at module level: scipy.signal is most of the import
+    # time of sikam.cli, and only this function needs it.
+    import scipy.signal
+
     if kind not in INTERFERENCE_KINDS:
         raise SynthError(f"unknown interference kind {kind!r}")
     rng = np.random.default_rng(seed + 1000 * INTERFERENCE_KINDS.index(kind))

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -211,6 +213,7 @@ class TestSeparateCommand:
                     "variant = baseline",
                     "k = 25",
                     f"support = {support_arg(demo_scene)}",
+                    "hop = 256  # trailing comment",
                     "# comment line",
                 ]
             )
@@ -223,6 +226,8 @@ class TestSeparateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["k"] == 25
         assert report["config"]["output_dir"] == str(out)
+        assert report["config"]["hop"] == 256 and report["config"]["p"] is None
+        assert report["config"]["config"] == str(manifest)
 
     def test_exit_codes(self, demo_scene, demo_wav, tmp_path):
         sup = support_arg(demo_scene)
@@ -265,6 +270,17 @@ class TestSeparateCommand:
             == 2
         )
         assert not nan_out.exists()
+        # kernel settings out of range are bad arguments, caught before any output
+        bad_out = tmp_path / "bad_out"
+        for flag, value in (("--k", "0"), ("--delta", "-1"), ("--p", "-1")):
+            assert (
+                cli.main(
+                    ["separate", "--input", str(demo_wav), "--output-dir", str(bad_out),
+                     "--support", sup, flag, value]
+                )
+                == 2
+            )
+            assert not bad_out.exists()
         # a shift range wider than the spectrum (173 bins at 8 kHz) is infeasible
         noise = np.random.default_rng(0).standard_normal(24000) * 0.1
         pcm_wav = tmp_path / "pcm8k.wav"
@@ -288,6 +304,18 @@ class TestSeparateCommand:
                 == 4
             )
             assert not wide_out.exists()
+
+    def test_import_leaves_scipy_signal_out(self):
+        # scipy.signal dominates start-up; only synth.interference_clip needs it.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import sikam.cli; "
+            "print('scipy.signal' in sys.modules)"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "False"
 
     def test_bad_manifest_key(self, tmp_path):
         manifest = tmp_path / "bad.cfg"
@@ -366,7 +394,99 @@ class TestBundledRegression:
         assert nsdrs["shift"] > nsdrs["baseline"]
 
 
+# The settable values of `separate` other than its paths and support, each away from its default.
+MANIFEST_VALUES = {
+    "variant": "specmurt-pruned",
+    "k": 12,
+    "delta": 9,
+    "p": 5,
+    "f_min": 55.0,
+    "bins_per_octave": 12,
+    "hop": 256,
+    "window_length": 2048,
+    "window_policy": "per_bin",
+    "gamma": 30.0,
+}
+MANIFEST_KEYS = ("input", "output_dir", "support", *MANIFEST_VALUES)
+
+
+class TestManifestAsFlags:
+    def run(self, manifest_path, settings, manifest=()):
+        """Exit code of `separate` with ``settings`` as flags and ``manifest`` lines."""
+        argv = ["separate"]
+        if manifest:
+            manifest_path.write_text("".join(f"{line}\n" for line in manifest))
+            argv += ["--config", str(manifest_path)]
+        for key, value in settings.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        return cli.main(argv)
+
+    def test_keys_are_the_flags_of_separate(self):
+        args = vars(cli.build_parser().parse_args(["separate"]))
+        assert set(args) - {"command", "fn"} == {*MANIFEST_KEYS, "config"}
+
+    @pytest.mark.parametrize("key", MANIFEST_KEYS)
+    def test_manifest_key_matches_its_flag(self, demo_scene, demo_wav, tmp_path, key):
+        out = tmp_path / "out"
+        values = {
+            "input": demo_wav,
+            "output_dir": out,
+            "support": support_arg(demo_scene),
+            **MANIFEST_VALUES,
+        }
+        settings = {n: values[n] for n in ("input", "output_dir", "support", "k", key)}
+        configs = []
+        for as_manifest in (False, True):
+            flags = {n: v for n, v in settings.items() if not (as_manifest and n == key)}
+            lines = [f"{key} = {settings[key]}"] if as_manifest else []
+            assert self.run(tmp_path / "run.cfg", flags, lines) == 0
+            config = json.loads((out / "report.json").read_text())["config"]
+            configs.append({n: v for n, v in config.items() if n != "config"})
+        assert configs[0] == configs[1]
+        expected = settings[key]
+        assert configs[1][key] == (str(expected) if isinstance(expected, Path) else expected)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "p = -5",  # ran with the default surplus 2k before
+            "k = abc",
+            "k 25",
+            "seed = 3",
+            "drop_head = 2",
+            "clamp_shifts = flase",
+            "out = elsewhere",  # a key is a whole flag name, not a prefix
+        ],
+    )
+    def test_bad_manifest_lines_exit_2(self, demo_scene, demo_wav, tmp_path, line):
+        out = tmp_path / "out"
+        flags = {"input": demo_wav, "output_dir": out, "support": support_arg(demo_scene)}
+        assert self.run(tmp_path / "run.cfg", flags, [line]) == 2
+        assert not out.exists()
+
+    def test_negative_support_is_a_support_range_error(self, demo_wav, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = {"input": demo_wav, "output_dir": out}
+        assert self.run(tmp_path / "run.cfg", flags, ["support = -1:3"]) == 2
+        assert "bad support range '-1:3'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_manifest_exits_3(self, demo_wav, tmp_path):
+        argv = ["separate", "--config", str(tmp_path / "absent.cfg"), "--input", str(demo_wav)]
+        assert cli.main(argv) == 3
+        assert cli.main(["separate", "--config", str(tmp_path)]) == 3
+
+
 class TestEvalCommand:
+    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--delta", "-1"), ("--p", "-1")])
+    def test_bad_kernel_settings_exit_2(self, tmp_path, flag, value):
+        out = tmp_path / "eval"
+        code = cli.main(
+            ["eval", "--output-dir", str(out), "--scenes-per-condition", "1", flag, value]
+        )
+        assert code == 2
+        assert not out.exists()
+
     def test_tiny_grid(self, tmp_path):
         out = tmp_path / "eval"
         code = cli.main(
