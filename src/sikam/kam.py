@@ -105,10 +105,14 @@ def _candidate_array(candidates, target: int) -> np.ndarray:
 
 def _top_k(
     distances: np.ndarray, frames: np.ndarray, shifts: np.ndarray, k: int
-) -> list[tuple[int, int]]:
-    """K smallest by (distance, frame, shift) lexicographic order."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frames and shifts of the K smallest by (distance, frame, shift) order."""
     order = np.lexsort((shifts, frames, distances))[:k]
-    return [(int(frames[i]), int(shifts[i])) for i in order]
+    return frames[order], shifts[order]
+
+
+def _neighbor_set(target: int, frames: np.ndarray, shifts: np.ndarray) -> NeighborSet:
+    return NeighborSet(target=int(target), neighbors=tuple(zip(frames.tolist(), shifts.tolist())))
 
 
 def median_estimate(mag, nset: NeighborSet) -> np.ndarray:
@@ -179,19 +183,16 @@ def plan_neighbors(mag, config: SeparationConfig) -> dict[int, NeighborSet]:
             f"{config.k + config.surplus}"
         )
 
-    plans: dict[int, NeighborSet] = {}
     if config.variant in ("baseline", "shift_exhaustive"):
         delta = 0 if config.variant == "baseline" else config.delta
-        found = shiftkam._exhaustive_search(data, support, candidates, config.k, delta)
-        plans.update(zip(support, found))
+        frames, shifts = shiftkam._exhaustive_search(data, support, candidates, config.k, delta)
     else:
         surplus = config.surplus if config.variant == "specmurt_pruned" else 0
         spec = specmurt.specmurt_matrix(data)
-        for t in support:
-            plans[t] = specmurt.knn_specmurt_pruned(
-                data, t, candidates, config.k, surplus, config.delta, spec=spec
-            )
-    return plans
+        frames, shifts = specmurt._pruned_search(
+            data, spec, support, candidates, config.k, surplus, config.delta
+        )
+    return {t: _neighbor_set(t, f, s) for t, f, s in zip(support, frames, shifts)}
 
 
 def separation_masks(mag, config: SeparationConfig, plans=None) -> np.ndarray:

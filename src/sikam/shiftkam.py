@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .kam import KernelError, NeighborSet, _as_matrix, _candidate_array, _top_k
+from .kam import KernelError, NeighborSet, _as_matrix, _candidate_array, _neighbor_set, _top_k
 
 
 def shift_frame(col: np.ndarray, delta) -> np.ndarray:
@@ -62,7 +62,7 @@ def _rescore(
     tied: np.ndarray,
     k: int,
     delta: int,
-) -> list[tuple[int, int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Top K of the short-listed (frame, shift) pairs by exact distance.
 
     The exact distance is the covered-band sum of squared differences, bin
@@ -90,8 +90,8 @@ def _rescore(
     return _top_k(dist, frames, shifts, k)
 
 
-def _exhaustive_search(data, targets, cands, k: int, delta: int) -> list[NeighborSet]:
-    """Neighbor sets of every target, from one matrix product per shift.
+def _exhaustive_search(data, targets, cands, k: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbor frames and shifts of every target, from one matrix product per shift.
 
     At each shift the distance of every frame to every target is approximated
     as covered-band energy + target energy - 2 * (band . shifted target); per
@@ -102,10 +102,13 @@ def _exhaustive_search(data, targets, cands, k: int, delta: int) -> list[Neighbo
     runner-up is within 2m of its best) unless the margin already settles
     the top K, its order and every shift. A target never neighbors itself;
     callers make sure each target keeps at least k candidates and that
-    delta does not exceed the bin count.
+    delta does not exceed the bin count. Row i of the two (targets, k)
+    results holds the neighbors of target i, closest first.
     """
     data = np.asarray(data, dtype=float)
     targets = np.asarray(targets, dtype=int)
+    if k == 0:
+        return np.zeros((2, len(targets), 0), dtype=int)
     n_bins, n_frames = data.shape
     valid = np.zeros((len(targets), n_frames), dtype=bool)
     valid[:, cands] = True
@@ -135,25 +138,31 @@ def _exhaustive_search(data, targets, cands, k: int, delta: int) -> list[Neighbo
     # m for every distance to target i, the loudest frame bounding the candidate energy
     margin = _MARGIN_PER_BIN * (n_bins + 3) * (energy.max() + energy[targets])
     margin += n_bins * np.finfo(float).tiny  # underflow
-    best = np.where(valid, best, np.inf)
-    ranked = np.argsort(best, axis=1)
-    plans = []
-    for i, t in enumerate(targets.tolist()):
-        # every frame whose best - m reaches the k-th smallest best + m
-        center = best[i, ranked[i]]
-        cut = np.searchsorted(center, center[k - 1] + 2 * margin[i], side="right")
-        frames, center = ranked[i, :cut], center[:cut]
-        shifts = best_shift[i, frames]
-        tied = runner[i, frames] - center <= 2 * margin[i]
-        # The margin alone settles the top K, its order and every shift when
-        # the short-listed bests are more than 2m apart (so exactly K are
-        # short-listed) and no frame has a second shift within 2m of its best.
-        if tied.any() or np.any(np.diff(center) <= 2 * margin[i]):
-            pairs = _rescore(data, t, frames, shifts, tied, k, delta)
-        else:
-            pairs = list(zip(frames.tolist(), shifts.tolist()))
-        plans.append(NeighborSet(target=t, neighbors=tuple(pairs)))
-    return plans
+    best[~valid] = np.inf
+    rows = np.arange(len(targets))[:, None]
+    # the k smallest bests of every target, in ascending order
+    short = best.argpartition(k - 1, axis=1)[:, :k]
+    short = short[rows, best[rows, short].argsort(axis=1)]
+    center = best[rows, short]
+    gap = 2 * margin[:, None]
+    # every frame whose best - m reaches the k-th smallest best + m
+    limit = center[:, -1:] + gap
+    # The margin alone settles the top K, its order and every shift when
+    # exactly K are short-listed, their bests are more than 2m apart and no
+    # frame has a second shift within 2m of its best.
+    unsettled = (
+        ((best <= limit).sum(axis=1) > k)
+        | (center[:, 1:] - center[:, :-1] <= gap).any(axis=1)
+        | (runner[rows, short] - center <= gap).any(axis=1)
+    )
+    shifts = best_shift[rows, short]
+    for i in unsettled.nonzero()[0].tolist():
+        frames = (best[i] <= limit[i]).nonzero()[0]
+        tied = runner[i, frames] - best[i, frames] <= gap[i]
+        short[i], shifts[i] = _rescore(
+            data, targets[i], frames, best_shift[i, frames], tied, k, delta
+        )
+    return short, shifts
 
 
 def knn_shift_exhaustive(
@@ -177,4 +186,5 @@ def knn_shift_exhaustive(
             f"need at least k={k} candidate frames, got {len(cands)} "
             "(one shift per frame is kept)"
         )
-    return _exhaustive_search(data, [target], cands, k, delta)[0]
+    frames, shifts = _exhaustive_search(data, [target], cands, k, delta)
+    return _neighbor_set(target, frames[0], shifts[0])

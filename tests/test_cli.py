@@ -487,6 +487,14 @@ class TestEvalCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_scenes_exit_2(self, tmp_path, capsys, count):
+        out = tmp_path / "eval"
+        code = cli.main(["eval", "--output-dir", str(out), "--scenes-per-condition", count])
+        assert code == 2
+        assert "--scenes-per-condition must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_grid(self, tmp_path):
         out = tmp_path / "eval"
         code = cli.main(

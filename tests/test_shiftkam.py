@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sikam import kam, shiftkam
+from sikam import kam, shiftkam, specmurt
 from test_kam import brute_force_knn
 
 
@@ -83,9 +83,10 @@ def assert_search_matches_oracle(mag, k, delta, targets=None):
         got = shiftkam.knn_shift_exhaustive(mag, t, range(n_frames), k, delta)
         assert list(got.neighbors) == want, (t, k, delta)
     # the batched search with every target inside the candidate set
-    batch = shiftkam._exhaustive_search(mag, list(targets), np.arange(n_frames), k, delta)
-    assert [list(nset.neighbors) for nset in batch] == expected
-    assert [nset.target for nset in batch] == list(targets)
+    frames, shifts = shiftkam._exhaustive_search(
+        mag, list(targets), np.arange(n_frames), k, delta
+    )
+    assert [list(zip(f, s)) for f, s in zip(frames.tolist(), shifts.tolist())] == expected
 
 
 class TestShiftFrame:
@@ -268,9 +269,15 @@ class TestExhaustiveEngine:
             assert inside == outside
             assert target not in inside.frames
         # a target outside a smaller candidate set
-        got = shiftkam._exhaustive_search(mag, [0, 11], np.arange(1, 11), 10, 6)
-        for nset in got:
-            assert list(nset.neighbors) == per_shift_oracle(mag, nset.target, range(1, 11), 10, 6)
+        frames, shifts = shiftkam._exhaustive_search(mag, [0, 11], np.arange(1, 11), 10, 6)
+        for target, f, s in zip([0, 11], frames.tolist(), shifts.tolist()):
+            assert list(zip(f, s)) == per_shift_oracle(mag, target, range(1, 11), 10, 6)
+
+    def test_k_zero_returns_no_neighbors(self, rng):
+        mag = rng.random((16, 9))
+        assert shiftkam.knn_shift_exhaustive(mag, 4, range(9), 0, 5).neighbors == ()
+        assert len(specmurt.knn_specmurt(mag, 4, range(9), 0)) == 0
+        assert specmurt.knn_specmurt_pruned(mag, 4, range(9), 0, 3, 5).neighbors == ()
 
     def test_k_equal_to_pool_returns_every_frame(self, rng):
         mag = rng.random((16, 9))

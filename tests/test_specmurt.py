@@ -275,3 +275,101 @@ class TestKnnSpecmurtPruned:
         free = specmurt.knn_specmurt_pruned(mag, 0, [1], 1, 0, 5, clamp=False)
         assert abs(clamped.neighbors[0][1]) <= 5
         assert abs(free.neighbors[0][1]) > 5
+
+
+def reference_specmurt_plans(mag, support, k, surplus, max_shift):
+    """The specmurt searches one target at a time, with the per-target code
+    the batched search replaced: the distances of ``knn_specmurt``, the
+    deconvolution of each pool against its target and the re-rank. Returns
+    the plans and the number of shifts the clamp cut."""
+    spec = specmurt.specmurt_matrix(mag)
+    n = mag.shape[0]
+    cands = np.setdiff1d(np.arange(mag.shape[1]), support)
+    plans, clamped = {}, 0
+    for t in support:
+        diff = spec - spec[:, t][:, None]
+        dist = np.einsum("ij,ij->j", diff, diff)[cands]
+        pool = cands[np.lexsort((cands, dist))[: k + surplus]]
+        y, cols = mag[:, t], mag[:, pool]
+        shifts = np.zeros(len(pool), dtype=int)
+        if np.any(y):
+            live = np.flatnonzero(np.any(cols, axis=0))
+            u = np.fft.ifft(y)
+            v = np.fft.ifft(cols[:, live], axis=0)
+            eps = 1e-8 * np.abs(v).max(axis=0)
+            h = np.abs(np.fft.fft(u[:, None] * np.conj(v) / (np.abs(v) ** 2 + eps**2), axis=0))
+            shifts[live] = (n // 2 - np.argmax(h, axis=0)) % n - n // 2
+        clamped += int(np.sum(np.abs(shifts) > max_shift))
+        shifts = np.clip(shifts, -max_shift, max_shift)
+        rows = np.ascontiguousarray((shift_frame(cols, shifts) - y[:, None]).T)
+        dists = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+        order = np.lexsort((shifts, pool, dists))[:k]
+        plans[t] = tuple((int(pool[i]), int(shifts[i])) for i in order)
+    return plans, clamped
+
+
+class TestPlanMatchesPerTargetReference:
+    """plan_neighbors searches all support frames at once; every neighbor set
+    must be the one of the per-target reference, shifts included."""
+
+    def check(self, mag, support, k, surplus, max_shift):
+        variant = "specmurt_pruned" if surplus else "specmurt"
+        config = kam.SeparationConfig(
+            k=k, delta=max_shift, surplus=surplus, variant=variant, support=support
+        )
+        want, clamped = reference_specmurt_plans(mag, sorted(support), k, surplus, max_shift)
+        got = kam.plan_neighbors(mag, config)
+        assert {t: nset.neighbors for t, nset in got.items()} == want
+        return clamped
+
+    def random_case(self, rng, make_matrix):
+        f = int(rng.integers(8, 80))
+        t = int(rng.integers(12, 50))
+        mag = make_matrix(rng, f, t)
+        support = {int(s) for s in rng.choice(t, size=int(rng.integers(1, 5)), replace=False)}
+        pool = t - len(support)
+        k = int(rng.integers(1, pool // 2 + 1))
+        return mag, support, k, pool
+
+    # An all-zero column must not reach the deconvolution (0/0 warnings).
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "make_matrix",
+        [
+            lambda rng, f, t: rng.random((f, t)),
+            # few distinct integer columns, repeated: exact ties everywhere
+            lambda rng, f, t: rng.integers(0, 3, (f, 4)).astype(float)[:, rng.integers(0, 4, t)],
+            # rolled copies of one column of period f/4: |h| has four peaks of
+            # nearly equal height, so the rounding of each step picks the shift
+            lambda rng, f, t: np.stack(
+                [np.roll(np.tile(rng.random(f // 4), 4), r) for r in rng.integers(0, f, t)], axis=1
+            ),
+        ],
+        ids=["random", "tie-heavy", "periodic"],
+    )
+    def test_random_tie_heavy_and_periodic(self, rng, make_matrix):
+        clamped = 0
+        for _ in range(25):
+            mag, support, k, pool = self.random_case(rng, make_matrix)
+            mag[:, rng.integers(0, mag.shape[1])] = 0.0  # a silent column, maybe a target
+            max_shift = int(rng.integers(0, mag.shape[0] + 1))
+            clamped += self.check(mag, support, k, 0, max_shift)
+            clamped += self.check(mag, support, k, int(rng.integers(1, pool - k + 1)), max_shift)
+        assert clamped > 0  # some cases must exercise the clamp
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_silent_target_and_columns(self, rng):
+        mag = rng.random((40, 30))
+        mag[:, [3, 11, 12, 20]] = 0.0
+        support = {3, 4, 5}  # frame 3 is a silent target
+        for surplus in (0, 6):
+            self.check(mag, support, 8, surplus, 40)
+            self.check(mag, support, 8, surplus, 2)
+
+    def test_clamp_cuts_shifts(self):
+        f = 96
+        base = comb_column(f, 30)
+        mag = np.stack([np.roll(base, d) for d in (-20, -9, 0, 7, 15, 22)], axis=1)
+        for surplus in (0, 2):
+            assert self.check(mag, {2}, 3, surplus, 4) > 0
+            assert self.check(mag, {2}, 3, surplus, 48) == 0
