@@ -170,7 +170,12 @@ def cmd_separate(args) -> int:
 
     # Shared neighbor sets from the channel-mean magnitude.
     t0 = time.perf_counter()
-    mean_mag = np.mean([np.abs(s.data) for s in spects], axis=0)
+    # A running sum, not a stack of every channel's magnitude; divided by the
+    # count it is the same mean bit for bit.
+    mean_mag = np.zeros(spects[0].data.shape)
+    for s in spects:
+        mean_mag += np.abs(s.data)
+    mean_mag /= len(spects)
     plans = plan_neighbors(mean_mag, config)
     timings["neighbor_search"] = time.perf_counter() - t0
 

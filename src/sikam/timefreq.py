@@ -3,8 +3,12 @@
 The forward transform projects short-time frames onto a bank of windowed
 complex exponentials whose center frequencies are geometrically spaced,
 ``f_min * 2**(k / bins_per_octave)``, so transposing a harmonic sound by an
-integer number of bins translates its spectral pattern vertically. The
-analysed samples are kept alongside the log-domain coefficients.
+integer number of bins translates its spectral pattern vertically. Every
+kernel row is even (real part) and odd (imaginary part) about the window
+centre, so the forward transform folds each frame about its centre and does
+half the multiply-adds; it runs over blocks of frames taken from one strided
+view of the signal, never holding the whole frame matrix. The analysed
+samples are kept alongside the log-domain coefficients.
 Resynthesis finds the frames whose coefficients a mask changed, takes the
 plain linear-frequency STFT of those frames and their overlapping
 neighbours from the kept samples, derives per-bin gains in the log domain,
@@ -128,9 +132,20 @@ class ComplexSpectrogram:
         return replace(self, data=data)
 
 
-@functools.lru_cache(maxsize=8)
-def _analysis_kernel(params: TransformParams) -> np.ndarray:
-    """Bank of windowed complex exponentials, one row per log bin."""
+# Frames per block of the forward transform. At the defaults blocks of 128 to
+# 512 frames ran equally fast (one BLAS thread, 20 s of audio), and 64 or 1024
+# ran slower; 256 keeps a block's folded frames (2 x 256 x 2048 float64, 8 MB)
+# far below the output of a long input.
+FORWARD_BLOCK = 256
+
+
+def _kernel_bank(params: TransformParams) -> np.ndarray:
+    """Bank of windowed complex exponentials, one row per log bin.
+
+    Every taper is centred on the window centre ``(win - 1) / 2``, where the
+    exponential's phase is referenced, so each row's real part is even and
+    its imaginary part odd about that centre.
+    """
     win = params.window_length
     sr = params.sample_rate
     freqs = params.bin_frequencies
@@ -143,12 +158,37 @@ def _analysis_kernel(params: TransformParams) -> np.ndarray:
         else:
             target = 2.0 * sr / (alpha * fk + params.gamma)
             length = int(np.clip(round(target), 64, win))
+            # The next length of the window's parity, so that the taper sits
+            # on the centre and not half a sample off it.
+            length += (win - length) % 2
         w = np.hanning(length)
         lo = (win - length) // 2
         taper = np.zeros(win)
         taper[lo : lo + length] = w
         kernel[k] = taper * np.exp(-2j * np.pi * fk * n / sr) / w.sum()
     return kernel
+
+
+@functools.lru_cache(maxsize=8)
+def _analysis_kernel(params: TransformParams) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel bank folded about the window centre, as two (h, F) halves.
+
+    With ``h = (win + 1) // 2`` the first half holds the real part of the
+    first ``h`` taps, the centre tap of an odd window halved, and the second
+    the imaginary part of the first ``win // 2`` taps. A frame ``f`` then
+    has coefficients ``(f[:h] + f[::-1][:h]) @ cos_half`` plus ``1j`` times
+    ``(f[:win//2] - f[::-1][:win//2]) @ sin_half``: the centre sample counts
+    twice against a halved tap, and the odd part has no centre tap.
+    """
+    kernel = _kernel_bank(params)
+    win = params.window_length
+    cos_half = np.ascontiguousarray(kernel.real[:, : (win + 1) // 2].T)
+    if win % 2:
+        cos_half[-1] *= 0.5
+    sin_half = np.ascontiguousarray(kernel.imag[:, : win // 2].T)
+    for half in (cos_half, sin_half):  # cached and shared by every caller
+        half.flags.writeable = False
+    return cos_half, sin_half
 
 
 @functools.lru_cache(maxsize=8)
@@ -176,18 +216,22 @@ def _mask_backmap(params: TransformParams) -> scipy.sparse.csr_matrix:
     return mat
 
 
+def _frame_view(signal: np.ndarray, params: TransformParams) -> np.ndarray:
+    """Every frame as a (T, window) strided view of the signal, zero-padded
+    once by half a window on each side so frame t is centred on ``t * hop``."""
+    win, hop = params.window_length, params.hop
+    pad = np.zeros(win // 2)
+    padded = np.concatenate([pad, signal, pad])
+    view = np.lib.stride_tricks.sliding_window_view(padded, win)
+    return view[::hop][: n_frames_for(params, len(signal))]
+
+
 def _frame_matrix(
     signal: np.ndarray, params: TransformParams, frames: np.ndarray | None = None
 ) -> np.ndarray:
     """Centered, zero-padded frames as a (T, window) matrix, or only ``frames``."""
-    win, hop = params.window_length, params.hop
-    padded = np.concatenate(
-        [np.zeros(win // 2), signal, np.zeros(win // 2)]
-    )
-    if frames is None:
-        frames = np.arange(n_frames_for(params, len(signal)))
-    view = np.lib.stride_tricks.sliding_window_view(padded, win)
-    return np.ascontiguousarray(view[frames * hop])
+    view = _frame_view(signal, params)
+    return np.ascontiguousarray(view if frames is None else view[frames])
 
 
 def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
@@ -218,10 +262,20 @@ def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
         raise TransformError(
             f"signal too short: {len(x)} samples, need >= {params.window_length}"
         )
-    frames = _frame_matrix(x, params)
-    kernel = _analysis_kernel(params)
-    log_data = (frames @ kernel.real.T + 1j * (frames @ kernel.imag.T)).T
-    frame_times = np.arange(frames.shape[0]) * params.hop / params.sample_rate
+    cos_half, sin_half = _analysis_kernel(params)
+    n_even, n_odd = cos_half.shape[0], sin_half.shape[0]
+    # Each block of frames is folded about the window centre into its even
+    # and odd parts, which meet the cosine and sine halves of the kernel.
+    frames = _frame_view(x, params)
+    coeffs = np.empty((len(frames), params.n_bins), dtype=np.complex128)
+    for start in range(0, len(frames), FORWARD_BLOCK):
+        block = frames[start : start + FORWARD_BLOCK]
+        mirrored = block[:, ::-1]
+        stop = start + len(block)
+        coeffs.real[start:stop] = (block[:, :n_even] + mirrored[:, :n_even]) @ cos_half
+        coeffs.imag[start:stop] = (block[:, :n_odd] - mirrored[:, :n_odd]) @ sin_half
+    log_data = coeffs.T
+    frame_times = np.arange(len(frames)) * params.hop / params.sample_rate
     return ComplexSpectrogram(
         data=log_data,
         params=params,

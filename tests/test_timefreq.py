@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,74 @@ class TestForward:
         np.testing.assert_allclose(dt, small_params.hop / small_params.sample_rate)
 
 
+PARAMS_ODD_WINDOW = tf.TransformParams(
+    sample_rate=8000.0, bins_per_octave=12, f_min=40.0, hop=96, window_length=501
+)
+FOLD_PARAMS = {
+    "fixed": DEFAULT,
+    "per_bin": tf.TransformParams(window_policy="per_bin"),
+    "hop-not-dividing-window": tf.TransformParams(
+        sample_rate=8000.0, bins_per_octave=12, f_min=40.0, hop=96, window_length=500
+    ),
+    "odd-window": PARAMS_ODD_WINDOW,
+    "odd-window-per_bin": dataclasses.replace(PARAMS_ODD_WINDOW, window_policy="per_bin"),
+}
+
+
+class TestFoldedForward:
+    """The forward transform folds each frame about the window centre and
+    runs in blocks of frames; it must equal the dense product of the whole
+    frame matrix with the kernel bank."""
+
+    @pytest.mark.parametrize("params", FOLD_PARAMS.values(), ids=FOLD_PARAMS.keys())
+    def test_kernel_rows_are_even_and_odd(self, params):
+        kernel = tf._kernel_bank(params)
+        assert np.array_equal(kernel.real, kernel.real[:, ::-1])
+        assert np.array_equal(kernel.imag, -kernel.imag[:, ::-1])
+
+    @pytest.mark.parametrize("params", FOLD_PARAMS.values(), ids=FOLD_PARAMS.keys())
+    @pytest.mark.parametrize(
+        "frame_count",
+        [
+            lambda params, block: tf.n_frames_for(params, params.window_length),
+            lambda params, block: block - 1,
+            lambda params, block: block,
+            lambda params, block: block + 1,
+            lambda params, block: 2 * block,
+        ],
+        ids=["shortest", "block-1", "block", "block+1", "two-blocks"],
+    )
+    def test_matches_dense_reference(self, params, frame_count, rng):
+        frames = frame_count(params, tf.FORWARD_BLOCK)
+        n = (frames - 1) * params.hop + 1 + int(rng.integers(params.hop))
+        x = rng.standard_normal(max(n, params.window_length))
+        spect = tf.forward_logfreq(x, params)
+        assert spect.n_frames == frames
+        dense = (tf._frame_matrix(x, params) @ tf._kernel_bank(params).T).T
+        assert np.abs(spect.data - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    def test_peak_memory_grows_with_the_output_not_the_frames(self, rng):
+        # Doubling the input may add the output columns and the copies of
+        # the signal (kept and padded), never a frame matrix of T x window.
+        params = DEFAULT
+        tf.forward_logfreq(np.zeros(params.window_length), params)  # fills the kernel cache
+        peaks, lengths = [], [3 * tf.FORWARD_BLOCK * params.hop, 6 * tf.FORWARD_BLOCK * params.hop]
+        for n in lengths:
+            x = rng.standard_normal(n)
+            tracemalloc.start()
+            try:
+                tf.forward_logfreq(x, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        more_samples = lengths[1] - lengths[0]
+        more_frames = tf.n_frames_for(params, lengths[1]) - tf.n_frames_for(params, lengths[0])
+        per_frame = params.n_bins * 16 + 8  # a complex column and its frame time
+        allowed = more_frames * per_frame + 2 * more_samples * 8 + 2**20  # 1 MiB of slack
+        assert peaks[1] - peaks[0] <= allowed
+        assert more_frames * params.window_length * 8 > allowed
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seconds", [1.0, 2.5])
     def test_noise_round_trip_under_bound(self, seconds, rng):
@@ -226,9 +295,7 @@ def assert_matches_full_inverse(spect, mask):
     return changed, hit
 
 
-PARAMS_UNEVEN_HOP = tf.TransformParams(
-    sample_rate=8000.0, bins_per_octave=12, f_min=40.0, hop=96, window_length=500
-)
+PARAMS_UNEVEN_HOP = FOLD_PARAMS["hop-not-dividing-window"]
 
 
 class TestChangedFrameResynthesis:
