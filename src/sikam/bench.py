@@ -16,6 +16,9 @@ import numpy as np
 
 from . import kam, shiftkam, specmurt
 
+# The timed stages, named as the BenchPoint fields that hold their times.
+STAGES = ("baseline_total", "shift_similarity", "specmurt_similarity")
+
 
 @dataclass(frozen=True)
 class BenchPoint:
@@ -29,30 +32,9 @@ class BenchPoint:
     specmurt_similarity: float
 
 
-def _median_time(fn, reps: int) -> float:
-    fn()  # warm-up: FFT plans, allocator, caches
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
-def _random_mag(n_bins: int, n_frames: int, seed: int) -> np.ndarray:
-    return np.random.default_rng(seed).random((n_bins, n_frames))
-
-
-def bench_point(
-    n_bins: int,
-    n_frames: int,
-    max_shift: int,
-    k: int = 16,
-    reps: int = 3,
-    seed: int = 0,
-) -> BenchPoint:
-    """Time each stage once per target frame over a random magnitude matrix."""
-    mag = _random_mag(n_bins, n_frames, seed)
+def _stages(n_bins: int, n_frames: int, max_shift: int, k: int, seed: int) -> dict:
+    """The timed stages of one size, each searching every frame of a random matrix."""
+    mag = np.random.default_rng(seed).random((n_bins, n_frames))
     all_frames = np.arange(n_frames)
 
     def run_baseline():
@@ -65,23 +47,37 @@ def bench_point(
             shiftkam.knn_shift_exhaustive(mag, t, all_frames, k, max_shift)
 
     def run_specmurt_similarity():
-        spec = specmurt.specmurt_matrix(mag, drop_head=1)
+        spec = specmurt.specmurt_matrix(mag)
         for t in range(n_frames):
             specmurt.knn_specmurt(mag, t, all_frames, k, spec=spec)
 
-    return BenchPoint(
-        n_bins=n_bins,
-        n_frames=n_frames,
-        max_shift=max_shift,
-        baseline_total=_median_time(run_baseline, reps),
-        shift_similarity=_median_time(run_shift_similarity, reps),
-        specmurt_similarity=_median_time(run_specmurt_similarity, reps),
-    )
+    return dict(zip(STAGES, (run_baseline, run_shift_similarity, run_specmurt_similarity)))
 
 
 def run_bench(sizes, k: int = 16, reps: int = 3, seed: int = 0) -> list[BenchPoint]:
-    """One :class:`BenchPoint` per (n_bins, n_frames, max_shift) triple."""
-    return [bench_point(f, t, d, k=k, reps=reps, seed=seed) for f, t, d in sizes]
+    """One :class:`BenchPoint` per (n_bins, n_frames, max_shift) triple.
+
+    Every stage of every size runs once untimed (FFT plans, allocator,
+    caches). Each rep then times all stages of one size, then of the next,
+    so that a slow spell of a shared machine falls on all sizes alike and
+    every stage runs after the same stages at every size; each time is the
+    median over reps.
+    """
+    stages = [_stages(f, t, d, k, seed) for f, t, d in sizes]
+    for fns in stages:
+        for fn in fns.values():
+            fn()
+    times = [{name: [] for name in STAGES} for _ in sizes]
+    for _ in range(reps):
+        for fns, spent in zip(stages, times):
+            for name, fn in fns.items():
+                t0 = time.perf_counter()
+                fn()
+                spent[name].append(time.perf_counter() - t0)
+    return [
+        BenchPoint(f, t, d, **{name: float(np.median(v)) for name, v in spent.items()})
+        for (f, t, d), spent in zip(sizes, times)
+    ]
 
 
 def doubling_ratios(points) -> list[dict]:
@@ -91,10 +87,8 @@ def doubling_ratios(points) -> list[dict]:
         entry = {
             "from": (a.n_bins, a.n_frames, a.max_shift),
             "to": (b.n_bins, b.n_frames, b.max_shift),
-            "baseline_total": b.baseline_total / a.baseline_total,
-            "shift_similarity": b.shift_similarity / a.shift_similarity,
-            "specmurt_similarity": b.specmurt_similarity / a.specmurt_similarity,
         }
+        entry.update({name: getattr(b, name) / getattr(a, name) for name in STAGES})
         out.append(entry)
     return out
 

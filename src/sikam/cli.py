@@ -173,27 +173,36 @@ def cmd_separate(args) -> int:
     # A running sum, not a stack of every channel's magnitude; divided by the
     # count it is the same mean bit for bit.
     mean_mag = np.zeros(spects[0].data.shape)
-    for s in spects:
-        mean_mag += np.abs(s.data)
+    for ch in range(len(spects)):
+        mean_mag += np.abs(spects[ch].data)
     mean_mag /= len(spects)
     plans = plan_neighbors(mean_mag, config)
+    del mean_mag
     timings["neighbor_search"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    source_ch = [
-        s.with_data(s.data * separation_masks(np.abs(s.data), config, plans=plans))
-        for s in spects
-    ]
-    timings["estimation_masking"] = time.perf_counter() - t0
+    # One channel at a time: its input and masked spectrograms go as soon as
+    # its source samples exist, so no spectrogram is alive when writing.
+    timings["estimation_masking"] = timings["resynthesis"] = 0.0
+    source = np.empty(channels.shape)
+    for ch in range(channels.shape[1]):
+        t0 = time.perf_counter()
+        spect, spects[ch] = spects[ch], None
+        masked = spect.with_data(
+            spect.data * separation_masks(np.abs(spect.data), config, plans=plans)
+        )
+        t1 = time.perf_counter()
+        source[:, ch] = inverse_logfreq(masked)
+        del spect, masked
+        timings["estimation_masking"] += t1 - t0
+        timings["resynthesis"] += time.perf_counter() - t1
 
     # Only the source is resynthesized: the interference is what it leaves of
     # the input, so the two outputs sum to the input by construction.
     t0 = time.perf_counter()
-    source = np.stack([inverse_logfreq(s) for s in source_ch], axis=-1)
-    interference = channels - source
+    interference = np.subtract(channels, source, out=channels)
     if samples.ndim == 1:
         source, interference = source[:, 0], interference[:, 0]
-    timings["resynthesis"] = time.perf_counter() - t0
+    timings["resynthesis"] += time.perf_counter() - t0
 
     out_dir = _make_dir(Path(args.output_dir))
     t0 = time.perf_counter()

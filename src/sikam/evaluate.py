@@ -200,15 +200,9 @@ def adapt_config(config: SeparationConfig, pool: int) -> SeparationConfig:
     return replace(config, k=k_eff, surplus=surplus_eff)
 
 
-def evaluate_scene(
-    scene: SyntheticScene,
-    variants,
-    config: SeparationConfig,
-    spect=None,
-) -> list[EvalResult]:
+def evaluate_scene(scene: SyntheticScene, variants, config: SeparationConfig) -> list[EvalResult]:
     """Run each variant over one scene and score it on the support segment."""
-    if spect is None:
-        spect = forward_logfreq(scene.mixture, scene.params)
+    spect = forward_logfreq(scene.mixture, scene.params)
     mask = support_sample_mask(scene.support, scene.params, len(scene.mixture))
     sdr_mix = sdr(scene.clean, scene.mixture, mask)
     pool = spect.n_frames - len(scene.support)

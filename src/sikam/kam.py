@@ -15,36 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import shiftkam, specmurt
+from .shiftkam import KernelError, NeighborSet, _as_matrix, _neighbor_set, shift_frame
 from .timefreq import ComplexSpectrogram
 
 VARIANTS = ("baseline", "shift_exhaustive", "specmurt", "specmurt_pruned")
-
-
-class KernelError(ValueError):
-    """Raised for invalid kernel inputs (for example a candidate pool < K)."""
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """Neighbors of one target frame: (frame, shift) pairs, length K.
-
-    A shift of d means the value used for output bin f is read from the
-    neighbor's bin f + d (content moves down by d bins for positive d).
-    """
-
-    target: int
-    neighbors: tuple[tuple[int, int], ...]
-
-    @property
-    def frames(self) -> np.ndarray:
-        return np.array([f for f, _ in self.neighbors], dtype=int)
-
-    @property
-    def shifts(self) -> np.ndarray:
-        return np.array([s for _, s in self.neighbors], dtype=int)
-
-    def __len__(self) -> int:
-        return len(self.neighbors)
 
 
 @dataclass(frozen=True)
@@ -86,35 +61,6 @@ class SeparationConfig:
             raise KernelError(f"unknown variant {self.variant!r}")
 
 
-def _as_matrix(mag) -> np.ndarray:
-    data = np.asarray(mag)
-    if data.ndim != 2:
-        raise KernelError("magnitude input must be a 2-D matrix")
-    return data
-
-
-def _candidate_array(candidates, target: int) -> np.ndarray:
-    """Sorted, deduplicated candidate frames with the target removed."""
-    if isinstance(candidates, np.ndarray):
-        cands = candidates.astype(int, copy=False)
-    else:
-        cands = np.fromiter((int(c) for c in candidates), dtype=int)
-    cands = np.unique(cands)
-    return cands[cands != target]
-
-
-def _top_k(
-    distances: np.ndarray, frames: np.ndarray, shifts: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frames and shifts of the K smallest by (distance, frame, shift) order."""
-    order = np.lexsort((shifts, frames, distances))[:k]
-    return frames[order], shifts[order]
-
-
-def _neighbor_set(target: int, frames: np.ndarray, shifts: np.ndarray) -> NeighborSet:
-    return NeighborSet(target=int(target), neighbors=tuple(zip(frames.tolist(), shifts.tolist())))
-
-
 def median_estimate(mag, nset: NeighborSet) -> np.ndarray:
     """Per-bin median over the neighbor values, honoring recorded shifts.
 
@@ -123,8 +69,6 @@ def median_estimate(mag, nset: NeighborSet) -> np.ndarray:
     neighbor count the lower median (element ``(K-1)//2`` of the sorted
     values) is returned, which keeps the estimate inside the observed values.
     """
-    from .shiftkam import shift_frame
-
     if len(nset) == 0:
         raise KernelError("empty neighbor set")
     data = _as_matrix(mag)
@@ -160,8 +104,6 @@ def plan_neighbors(mag, config: SeparationConfig) -> dict[int, NeighborSet]:
     pruned variant) candidates, or when ``config.delta`` exceeds the number
     of frequency bins.
     """
-    from . import shiftkam, specmurt
-
     data = _as_matrix(mag)
     n_bins, n_frames = data.shape
     if config.delta > n_bins:
@@ -173,24 +115,17 @@ def plan_neighbors(mag, config: SeparationConfig) -> dict[int, NeighborSet]:
         raise KernelError("support frame index out of range")
     candidates = np.setdiff1d(np.arange(n_frames), np.array(support, dtype=int))
     pool = len(candidates)
-    if pool < config.k:
-        raise KernelError(
-            f"candidate pool ({pool} frames) smaller than k={config.k}"
-        )
-    if config.variant == "specmurt_pruned" and pool < config.k + config.surplus:
-        raise KernelError(
-            f"candidate pool ({pool} frames) smaller than k+surplus="
-            f"{config.k + config.surplus}"
-        )
+    surplus = config.surplus if config.variant == "specmurt_pruned" else 0
+    for name, need in (("k", config.k), ("k+surplus", config.k + surplus)):
+        if pool < need:
+            raise KernelError(f"candidate pool ({pool} frames) smaller than {name}={need}")
 
     if config.variant in ("baseline", "shift_exhaustive"):
         delta = 0 if config.variant == "baseline" else config.delta
         frames, shifts = shiftkam._exhaustive_search(data, support, candidates, config.k, delta)
     else:
-        surplus = config.surplus if config.variant == "specmurt_pruned" else 0
-        spec = specmurt.specmurt_matrix(data)
         frames, shifts = specmurt._pruned_search(
-            data, spec, support, candidates, config.k, surplus, config.delta
+            data, support, candidates, config.k, surplus, config.delta
         )
     return {t: _neighbor_set(t, f, s) for t, f, s in zip(support, frames, shifts)}
 

@@ -10,15 +10,93 @@ All targets are searched together: one matrix product per shift gives
 approximate distances of every frame to every target, and a rounding margin
 decides which (frame, shift) pairs need the exact distance, so the neighbor
 sets are those of an exact per-shift comparison.
+
+This module imports nothing from :mod:`sikam`: it owns the search contract
+(:class:`KernelError`, :class:`NeighborSet`, the shift primitive and the
+input gate of the one-target searches) that the other kernels import.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .kam import KernelError, NeighborSet, _as_matrix, _candidate_array, _neighbor_set, _top_k
+
+class KernelError(ValueError):
+    """Raised for invalid kernel inputs (for example a candidate pool < K)."""
+
+
+@dataclass(frozen=True)
+class NeighborSet:
+    """Neighbors of one target frame: (frame, shift) pairs, length K.
+
+    A shift of d means the value used for output bin f is read from the
+    neighbor's bin f + d (content moves down by d bins for positive d).
+    """
+
+    target: int
+    neighbors: tuple[tuple[int, int], ...]
+
+    @property
+    def frames(self) -> np.ndarray:
+        return np.array([f for f, _ in self.neighbors], dtype=int)
+
+    @property
+    def shifts(self) -> np.ndarray:
+        return np.array([s for _, s in self.neighbors], dtype=int)
+
+    def __len__(self) -> int:
+        return len(self.neighbors)
+
+
+def _as_matrix(mag) -> np.ndarray:
+    data = np.asarray(mag)
+    if data.ndim != 2:
+        raise KernelError("magnitude input must be a 2-D matrix")
+    return data
+
+
+def _search_pool(data, target: int, candidates, max_shift: int, **counts: int) -> np.ndarray:
+    """Sorted, distinct candidate frames of a one-target search, target removed.
+
+    The input gate of the one-target searches: ``counts`` are the numbers of
+    frames a search takes from the pool, by parameter name, and ``max_shift``
+    is its shift range. Raises :class:`KernelError` for a negative count or
+    shift range, a shift range above the bin count, a target or candidate
+    outside ``[0, T)``, or a pool smaller than the counts together.
+    """
+    n_bins, n_frames = data.shape
+    for name, value in {**counts, "shift range": max_shift}.items():
+        if value < 0:
+            raise KernelError(f"{name} must be >= 0, got {value}")
+    if max_shift > n_bins:
+        raise KernelError(f"shift range {max_shift} exceeds the {n_bins} frequency bins")
+    if isinstance(candidates, np.ndarray):
+        cands = candidates.astype(int, copy=False)
+    else:
+        cands = np.fromiter((int(c) for c in candidates), dtype=int)
+    cands = np.unique(cands)
+    if not 0 <= target < n_frames or len(cands) and not 0 <= cands[0] <= cands[-1] < n_frames:
+        raise KernelError(f"target and candidates must be frames in [0, {n_frames})")
+    cands = cands[cands != target]
+    need = sum(counts.values())
+    if len(cands) < need:
+        raise KernelError(f"need {need} candidate frames ({' + '.join(counts)}), got {len(cands)}")
+    return cands
+
+
+def _top_k(
+    distances: np.ndarray, frames: np.ndarray, shifts: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frames and shifts of the K smallest by (distance, frame, shift) order."""
+    order = np.lexsort((shifts, frames, distances))[:k]
+    return frames[order], shifts[order]
+
+
+def _neighbor_set(target: int, frames: np.ndarray, shifts: np.ndarray) -> NeighborSet:
+    return NeighborSet(target=int(target), neighbors=tuple(zip(frames.tolist(), shifts.tolist())))
 
 
 def shift_frame(col: np.ndarray, delta) -> np.ndarray:
@@ -175,16 +253,11 @@ def knn_shift_exhaustive(
     content. Ties break by ascending (distance, frame, shift); the target
     itself is excluded from the pool. ``delta=0`` is the baseline kernel.
     This is the one-target case of the search :func:`kam.plan_neighbors`
-    runs for all support frames at once.
+    runs for all support frames at once. Raises :class:`KernelError` for a
+    negative ``k`` or ``delta``, a ``delta`` above the bin count, a target
+    or candidate outside ``[0, T)``, or fewer than ``k`` candidates.
     """
     data = _as_matrix(mag)
-    if delta > data.shape[0]:
-        raise KernelError(f"delta={delta} exceeds the {data.shape[0]} frequency bins")
-    cands = _candidate_array(candidates, target)
-    if len(cands) < k:
-        raise KernelError(
-            f"need at least k={k} candidate frames, got {len(cands)} "
-            "(one shift per frame is kept)"
-        )
+    cands = _search_pool(data, target, candidates, delta, k=k)
     frames, shifts = _exhaustive_search(data, [target], cands, k, delta)
     return _neighbor_set(target, frames[0], shifts[0])

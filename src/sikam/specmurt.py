@@ -20,8 +20,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .kam import KernelError, NeighborSet, _as_matrix, _candidate_array, _neighbor_set, _top_k
-from .shiftkam import _exhaustive_search, shift_frame
+from .shiftkam import (
+    KernelError,
+    NeighborSet,
+    _as_matrix,
+    _exhaustive_search,
+    _neighbor_set,
+    _search_pool,
+    _top_k,
+    shift_frame,
+)
 
 
 @dataclass(frozen=True)
@@ -38,29 +46,23 @@ class ShiftEstimate:
     peak_ratio: float
 
 
-def specmurt_matrix(mag, drop_head: int = 1) -> np.ndarray:
-    """Specmurt coefficients of every nonnegative column, shape (half-F, T).
+def specmurt_matrix(mag) -> np.ndarray:
+    """Specmurt coefficients of every nonnegative column, shape (F // 2, T).
 
-    Column t holds the moduli of the DFT of magnitude frame t from index
-    ``drop_head`` up to the half length (real-input symmetry makes the rest
-    redundant). Index 0 is the DC term, so the default of one drops it.
+    Column t holds the moduli of the DFT of magnitude frame t from index 1
+    up to the half length: index 0, the DC term, is dropped, and real-input
+    symmetry makes the rest redundant. Needs at least 2 frequency bins.
     """
     data = _as_matrix(mag)
     if np.any(data < 0):
         raise KernelError("magnitudes must be nonnegative")
-    half = data.shape[0] // 2 + 1
-    if drop_head < 0 or drop_head >= half:
-        raise KernelError(f"drop_head={drop_head} out of range for half length {half}")
-    return np.abs(np.fft.rfft(data, axis=0))[drop_head:half]
+    if data.shape[0] < 2:
+        raise KernelError(f"specmurt needs at least 2 frequency bins, got {data.shape[0]}")
+    return np.abs(np.fft.rfft(data, axis=0))[1:]
 
 
 def knn_specmurt(
-    mag,
-    target: int,
-    candidates: Iterable[int],
-    count: int,
-    drop_head: int = 1,
-    spec: np.ndarray | None = None,
+    mag, target: int, candidates: Iterable[int], count: int, spec: np.ndarray | None = None
 ) -> np.ndarray:
     """``count`` candidate frames closest to the target in the specmurt domain.
 
@@ -68,13 +70,12 @@ def knn_specmurt(
     ``spec`` may carry a precomputed :func:`specmurt_matrix` to avoid
     recomputation. This is the one-target case of the baseline search on the
     specmurt matrix that the pruned search runs for all targets at once.
+    Raises :class:`KernelError` as :func:`knn_shift_exhaustive`, ``count`` as k.
     """
     data = _as_matrix(mag)
-    cands = _candidate_array(candidates, target)
-    if len(cands) < count:
-        raise KernelError(f"need at least {count} candidates, got {len(cands)}")
+    cands = _search_pool(data, target, candidates, max_shift=0, count=count)
     if spec is None:
-        spec = specmurt_matrix(data, drop_head)
+        spec = specmurt_matrix(data)
     return _exhaustive_search(spec, [target], cands, count, 0)[0][0]
 
 
@@ -136,18 +137,19 @@ def estimate_shift_deconv(y: np.ndarray, z: np.ndarray) -> ShiftEstimate:
     return ShiftEstimate(delta=int(delta[0]), peak_value=peak, peak_ratio=ratio)
 
 
-def _pruned_search(data, spec, targets, cands, k: int, surplus: int, max_shift: int, clamp=True):
+def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     """Neighbor frames and shifts of every target, as two (targets, k) arrays.
 
-    The pools of k + surplus frames come from one baseline search on
-    ``spec``, the :func:`specmurt_matrix` of ``data``, and the inverse
-    spectra of the targets and of every pooled frame are taken once; each
-    target then divides and transforms back only its own live pool columns
-    (a silent target or column keeps shift 0). Callers make sure each
-    target keeps at least k + surplus candidates.
+    The pools of k + surplus frames come from one baseline search on the
+    :func:`specmurt_matrix` of ``data``, and the inverse spectra of the
+    targets and of every pooled frame are taken once; each target then
+    divides and transforms back only its own live pool columns (a silent
+    target or column keeps shift 0) and clamps the shifts to
+    ``[-max_shift, max_shift]``. Callers make sure each target keeps at
+    least k + surplus candidates.
     """
     targets = np.asarray(targets, dtype=int)
-    pools = _exhaustive_search(spec, targets, cands, k + surplus, 0)[0]
+    pools = _exhaustive_search(specmurt_matrix(data), targets, cands, k + surplus, 0)[0]
     used = np.union1d(pools, targets)
     v, power = _inverse_spectra(data[:, used])
     live = np.any(data, axis=0)
@@ -158,8 +160,7 @@ def _pruned_search(data, spec, targets, cands, k: int, surplus: int, max_shift: 
             on = np.searchsorted(used, frames[live[frames]])
             u = v[np.searchsorted(used, target)]
             shifts[live[frames]] = _deconvolve(u, v[on], power[on])[0]
-        if clamp:
-            shifts = np.clip(shifts, -max_shift, max_shift)
+        shifts = np.clip(shifts, -max_shift, max_shift)
         # One row per pool frame; the batched row dot products are the same
         # sums as np.dot on each column, so distances match a per-frame loop.
         diff = np.ascontiguousarray((shift_frame(data[:, frames], shifts) - data[:, [target]]).T)
@@ -169,29 +170,21 @@ def _pruned_search(data, spec, targets, cands, k: int, surplus: int, max_shift: 
 
 
 def knn_specmurt_pruned(
-    mag,
-    target: int,
-    candidates: Iterable[int],
-    k: int,
-    surplus: int,
-    max_shift: int,
-    drop_head: int = 1,
-    clamp: bool = True,
+    mag, target: int, candidates: Iterable[int], k: int, surplus: int, max_shift: int
 ) -> NeighborSet:
     """Accelerated shift-invariant kernel with optional pruning.
 
     Pipeline: pick ``k + surplus`` frames by specmurt similarity, estimate
     one shift per frame by deconvolution (clamped to ``[-max_shift,
-    max_shift]`` unless ``clamp`` is off), then keep the ``k`` frames whose
-    aligned columns are closest to the target in the time-frequency domain.
-    With ``surplus=0`` the last step only re-ranks, matching the plain
-    accelerated variant. This is the one-target case of the search
-    :func:`kam.plan_neighbors` runs for all support frames at once.
+    max_shift]``), then keep the ``k`` frames whose aligned columns are
+    closest to the target in the time-frequency domain. With ``surplus=0``
+    the last step only re-ranks, matching the plain accelerated variant.
+    This is the one-target case of the search :func:`kam.plan_neighbors`
+    runs for all support frames at once. Raises :class:`KernelError` as
+    :func:`knn_shift_exhaustive` does, with ``max_shift`` for ``delta``, a
+    negative ``surplus`` too, and ``k + surplus`` candidates needed.
     """
     data = _as_matrix(mag)
-    cands = _candidate_array(candidates, target)
-    if len(cands) < k + surplus:
-        raise KernelError(f"need at least {k + surplus} candidates, got {len(cands)}")
-    spec = specmurt_matrix(data, drop_head)
-    frames, shifts = _pruned_search(data, spec, [target], cands, k, surplus, max_shift, clamp)
+    cands = _search_pool(data, target, candidates, max_shift, k=k, surplus=surplus)
+    frames, shifts = _pruned_search(data, [target], cands, k, surplus, max_shift)
     return _neighbor_set(target, frames[0], shifts[0])

@@ -253,13 +253,11 @@ def test_criterion_6_acceleration_agreement(melody_grid):
 def test_criterion_7_complexity_scaling():
     from sikam import bench
 
-    p_small = bench.bench_point(128, 160, 16, k=12, reps=5, seed=1)
-    p_big = bench.bench_point(128, 160, 32, k=12, reps=5, seed=1)
+    p_small, p_big = bench.run_bench([(128, 160, 16), (128, 160, 32)], k=12, reps=5, seed=1)
     shift_ratio = p_big.shift_similarity / p_small.shift_similarity
     spec_ratio = p_big.specmurt_similarity / p_small.specmurt_similarity
 
-    q_small = bench.bench_point(48, 768, 0, k=32, reps=3, seed=1)
-    q_big = bench.bench_point(48, 1536, 0, k=32, reps=3, seed=1)
+    q_small, q_big = bench.run_bench([(48, 768, 0), (48, 1536, 0)], k=32, reps=3, seed=1)
     base_ratio = q_big.baseline_total / q_small.baseline_total
 
     ok = 1.6 <= shift_ratio <= 2.4 and 0.8 <= spec_ratio <= 1.2 and 3.0 <= base_ratio <= 6.0

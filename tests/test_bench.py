@@ -1,8 +1,8 @@
 from sikam import bench
 
 
-def test_bench_point_reports_positive_times():
-    p = bench.bench_point(16, 24, 2, k=4, reps=1)
+def test_run_bench_reports_positive_times():
+    (p,) = bench.run_bench([(16, 24, 2)], k=4, reps=1)
     assert p.baseline_total > 0
     assert p.shift_similarity > 0
     assert p.specmurt_similarity > 0

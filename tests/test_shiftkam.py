@@ -209,6 +209,21 @@ class TestKnnShiftExhaustive:
         with pytest.raises(kam.KernelError):
             shiftkam.knn_shift_exhaustive(mag, 0, range(4), 4, 2)
 
+    @pytest.mark.parametrize(
+        "target, candidates, k, delta",
+        [
+            pytest.param(3, range(20), -1, 2, id="negative-k"),
+            pytest.param(3, range(20), 4, -1, id="negative-delta"),
+            pytest.param(-1, range(20), 4, 2, id="target-before-first-frame"),
+            pytest.param(20, range(20), 4, 2, id="target-past-last-frame"),
+            pytest.param(3, [-1, *range(4, 10)], 4, 2, id="candidate-before-first-frame"),
+            pytest.param(3, [*range(4, 10), 20], 4, 2, id="candidate-past-last-frame"),
+        ],
+    )
+    def test_bad_input_rejected(self, rng, target, candidates, k, delta):
+        with pytest.raises(kam.KernelError):
+            shiftkam.knn_shift_exhaustive(rng.random((16, 20)), target, candidates, k, delta)
+
 
 class TestExhaustiveEngine:
     """The matrix-product search against the per-shift oracle."""

@@ -27,19 +27,19 @@ def comb_column(f, base, n_partials=6):
     return harmonic_column(f, positions)
 
 
-def specmurt_column(col, drop_head=1):
+def specmurt_column(col):
     """Specmurt coefficients of one column, through the matrix transform."""
-    return specmurt.specmurt_matrix(np.asarray(col)[:, None], drop_head)[:, 0]
+    return specmurt.specmurt_matrix(np.asarray(col)[:, None])[:, 0]
 
 
 class TestSpecmurtTransform:
     def test_constant_column_has_no_structure(self):
-        coeffs = specmurt_column(np.full(64, 3.7), drop_head=1)
+        coeffs = specmurt_column(np.full(64, 3.7))
         np.testing.assert_allclose(coeffs, 0.0, atol=1e-9)
 
     def test_length_and_head(self, rng):
         col = rng.random(64)
-        coeffs = specmurt_column(col, drop_head=1)
+        coeffs = specmurt_column(col)
         assert len(coeffs) == 64 // 2 + 1 - 1
         np.testing.assert_array_equal(coeffs, np.abs(np.fft.rfft(col))[1:])
 
@@ -58,12 +58,12 @@ class TestSpecmurtTransform:
         col = np.zeros(f)
         col[10] = 1.0
         col[10 + d] = 1.0
-        coeffs = specmurt_column(col, drop_head=0)
-        k = np.arange(f // 2 + 1)
+        coeffs = specmurt_column(col)
+        k = np.arange(1, f // 2 + 1)
         expected = np.abs(2 * np.cos(np.pi * k * d / f))
         np.testing.assert_allclose(coeffs, expected, atol=1e-12)
         # against a direct DFT oracle as well
-        oracle = np.abs(np.fft.fft(col))[: f // 2 + 1]
+        oracle = np.abs(np.fft.fft(col))[1 : f // 2 + 1]
         np.testing.assert_allclose(coeffs, oracle, atol=1e-12)
 
     def test_padded_shift_near_invariance(self):
@@ -79,9 +79,9 @@ class TestSpecmurtTransform:
         rel = np.linalg.norm(a - b) / np.linalg.norm(a)
         assert rel < 0.1
 
-    def test_drop_head_out_of_range(self):
-        with pytest.raises(kam.KernelError):
-            specmurt_column(np.ones(8), drop_head=5)
+    def test_fewer_than_two_bins_rejected(self):
+        with pytest.raises(kam.KernelError, match="at least 2 frequency bins"):
+            specmurt_column(np.ones(1))
 
     def test_negative_column_rejected(self):
         with pytest.raises(kam.KernelError):
@@ -91,7 +91,7 @@ class TestSpecmurtTransform:
 class TestKnnSpecmurt:
     def test_matches_brute_force(self, rng):
         mag = rng.random((32, 20))
-        spec = specmurt.specmurt_matrix(mag, 1)
+        spec = specmurt.specmurt_matrix(mag)
         target = 4
         got = specmurt.knn_specmurt(mag, target, range(20), 6)
         dists = sorted(
@@ -123,6 +123,20 @@ class TestKnnSpecmurt:
         mag = rng.random((16, 4))
         with pytest.raises(kam.KernelError):
             specmurt.knn_specmurt(mag, 0, range(4), 4)
+
+    @pytest.mark.parametrize(
+        "target, candidates, count",
+        [
+            pytest.param(3, range(20), -1, id="negative-count"),
+            pytest.param(-1, range(20), 4, id="target-before-first-frame"),
+            pytest.param(20, range(20), 4, id="target-past-last-frame"),
+            pytest.param(3, [-1, *range(4, 10)], 4, id="candidate-before-first-frame"),
+            pytest.param(3, [*range(4, 10), 20], 4, id="candidate-past-last-frame"),
+        ],
+    )
+    def test_bad_input_rejected(self, rng, target, candidates, count):
+        with pytest.raises(kam.KernelError):
+            specmurt.knn_specmurt(rng.random((16, 20)), target, candidates, count)
 
 
 class TestEstimateShiftDeconv:
@@ -181,7 +195,7 @@ class TestEstimateShiftDeconv:
             specmurt.estimate_shift_deconv(np.zeros(16), np.ones(16))
 
 
-def pruned_oracle(mag, target, candidates, k, surplus, max_shift, clamp=True):
+def pruned_oracle(mag, target, candidates, k, surplus, max_shift):
     """The pruned search one pool frame at a time, as a reference."""
     pool = specmurt.knn_specmurt(mag, target, candidates, k + surplus)
     y = mag[:, target]
@@ -192,8 +206,7 @@ def pruned_oracle(mag, target, candidates, k, surplus, max_shift, clamp=True):
             d = 0  # silent column: no shift information to recover
         else:
             d = specmurt.estimate_shift_deconv(y, z).delta
-        if clamp:
-            d = int(np.clip(d, -max_shift, max_shift))
+        d = int(np.clip(d, -max_shift, max_shift))
         diff = shift_frame(z, d) - y
         entries.append((float(np.dot(diff, diff)), int(frame), d))
     entries.sort()
@@ -203,8 +216,7 @@ def pruned_oracle(mag, target, candidates, k, surplus, max_shift, clamp=True):
 class TestKnnSpecmurtPruned:
     # An all-zero column must not reach the deconvolution (0/0 warnings).
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("clamp", [True, False])
-    def test_matches_per_frame_oracle(self, rng, clamp):
+    def test_matches_per_frame_oracle(self, rng):
         checked = 0
         for trial in range(30):
             f = int(rng.integers(8, 80))
@@ -215,10 +227,8 @@ class TestKnnSpecmurtPruned:
             surplus = int(rng.integers(0, t - k))
             max_shift = int(rng.integers(0, f))
             for target in range(t):
-                got = specmurt.knn_specmurt_pruned(
-                    mag, target, range(t), k, surplus, max_shift, clamp=clamp
-                )
-                want = pruned_oracle(mag, target, range(t), k, surplus, max_shift, clamp)
+                got = specmurt.knn_specmurt_pruned(mag, target, range(t), k, surplus, max_shift)
+                want = pruned_oracle(mag, target, range(t), k, surplus, max_shift)
                 assert got.neighbors == want
                 checked += 1
         assert checked > 300
@@ -266,15 +276,27 @@ class TestKnnSpecmurtPruned:
         for frame in discarded:
             assert kept_max <= step3_distance(frame) + 1e-9
 
-    def test_shift_clamping_configurable(self, rng):
-        f = 64
-        base = comb_column(f, 18)
-        far = np.roll(base, 20)
-        mag = np.stack([base, far], axis=1)
-        clamped = specmurt.knn_specmurt_pruned(mag, 0, [1], 1, 0, 5, clamp=True)
-        free = specmurt.knn_specmurt_pruned(mag, 0, [1], 1, 0, 5, clamp=False)
-        assert abs(clamped.neighbors[0][1]) <= 5
-        assert abs(free.neighbors[0][1]) > 5
+    def test_pool_too_small(self, rng):
+        with pytest.raises(kam.KernelError):
+            specmurt.knn_specmurt_pruned(rng.random((16, 8)), 0, range(8), 4, 4, 2)
+
+    @pytest.mark.parametrize(
+        "target, candidates, k, surplus, max_shift",
+        [
+            pytest.param(3, range(20), -1, 3, 2, id="negative-k"),
+            pytest.param(3, range(20), 4, -1, 2, id="negative-surplus"),
+            pytest.param(3, range(20), 4, 2, -3, id="negative-max-shift"),
+            pytest.param(3, range(20), 4, 2, 17, id="max-shift-above-bins"),
+            pytest.param(-1, range(20), 4, 2, 2, id="target-before-first-frame"),
+            pytest.param(20, range(20), 4, 2, 2, id="target-past-last-frame"),
+            pytest.param(3, [-1, *range(4, 10)], 4, 2, 2, id="candidate-before-first-frame"),
+            pytest.param(3, [*range(4, 10), 20], 4, 2, 2, id="candidate-past-last-frame"),
+        ],
+    )
+    def test_bad_input_rejected(self, rng, target, candidates, k, surplus, max_shift):
+        mag = rng.random((16, 20))
+        with pytest.raises(kam.KernelError):
+            specmurt.knn_specmurt_pruned(mag, target, candidates, k, surplus, max_shift)
 
 
 def reference_specmurt_plans(mag, support, k, surplus, max_shift):
