@@ -112,16 +112,24 @@ def shift_frame(col: np.ndarray, delta) -> np.ndarray:
     pad = int(np.abs(delta).max())
     if pad > n:
         raise KernelError(f"|delta|={pad} exceeds column length {n}")
-    # Copy every column into a zero-padded row; column i of the result is the
-    # length-n window of row i that starts delta[i] bins after its own start.
     rows = col.reshape(n, -1).T
-    padded = np.zeros((len(rows), n + 2 * pad), dtype=col.dtype)
+    return _shift_windows(rows, pad)[np.arange(len(rows)), pad + delta].T.reshape(col.shape)
+
+
+def _shift_windows(rows: np.ndarray, pad: int) -> np.ndarray:
+    """Every shift in ``[-pad, pad]`` of each row, as a (rows, 2 * pad + 1, F) view.
+
+    ``windows[i, pad + d]`` is row i shifted by d bins as :func:`shift_frame`
+    shifts a column: the length-F stretch of one shared zero-padded copy of
+    the row that starts d bins after the row itself. The view is read-only.
+    """
+    n_rows, n = rows.shape
+    padded = np.zeros((n_rows, n + 2 * pad), dtype=rows.dtype)
     padded[:, pad : pad + n] = rows
     step_row, step_bin = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded, (len(rows), 2 * pad + 1, n), (step_row, step_bin, step_bin), writeable=False
+    return np.lib.stride_tricks.as_strided(
+        padded, (n_rows, 2 * pad + 1, n), (step_row, step_bin, step_bin), writeable=False
     )
-    return windows[np.arange(len(rows)), pad + delta].T.reshape(col.shape)
 
 
 # Rounding bound of one distance per bin, in units of (candidate energy +
@@ -130,6 +138,8 @@ def shift_frame(col: np.ndarray, delta) -> np.ndarray:
 # so each is within (F + 3) * eps of the exact value; the factor 32 leaves room
 # for the rounding of the energies, of the margin and of the comparisons.
 _MARGIN_PER_BIN = 32 * np.finfo(float).eps
+# Smallest normal double; n_bins of it in the margin cover underflow.
+_TINY = np.finfo(float).tiny
 
 
 def _rescore(
@@ -215,7 +225,7 @@ def _exhaustive_search(data, targets, cands, k: int, delta: int) -> tuple[np.nda
         np.minimum(best, approx, out=best)
     # m for every distance to target i, the loudest frame bounding the candidate energy
     margin = _MARGIN_PER_BIN * (n_bins + 3) * (energy.max() + energy[targets])
-    margin += n_bins * np.finfo(float).tiny  # underflow
+    margin += n_bins * _TINY
     best[~valid] = np.inf
     rows = np.arange(len(targets))[:, None]
     # the k smallest bests of every target, in ascending order

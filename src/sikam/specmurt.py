@@ -8,9 +8,11 @@ fast deconvolution between the two magnitude columns, and an optional
 pruning stage re-ranks an oversampled pool by true aligned distance.
 
 All targets are searched together: their pools are the baseline search of
-:mod:`sikam.shiftkam` run once on the specmurt matrix, and the inverse DFT
-of every pooled frame is taken once and shared by all deconvolutions. The
-one-target functions are cases of the same code.
+:mod:`sikam.shiftkam` run once on the specmurt matrix, and the real
+half-spectrum of every pooled frame is taken once and shared by all
+deconvolutions, as is one zero-padded copy of the pooled frames that the
+re-rank reads its shifted columns from. The one-target functions are cases
+of the same code.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from .shiftkam import (
     _exhaustive_search,
     _neighbor_set,
     _search_pool,
+    _shift_windows,
     _top_k,
-    shift_frame,
+    shift_frame,  # the primitive every returned shift is defined for; no call here
 )
 
 
@@ -37,8 +40,9 @@ class ShiftEstimate:
     """Result of the deconvolution-based shift search.
 
     ``delta`` is the shift to feed :func:`sikam.shiftkam.shift_frame` so that
-    the candidate aligns with the target; ``peak_ratio`` compares the winning
-    deconvolution peak to the runner-up and is reported for diagnostics.
+    the candidate aligns with the target; ``peak_value`` is the largest
+    ``|h|`` (about 1 for identical columns) and ``peak_ratio`` compares it to
+    the runner-up; both are reported for diagnostics.
     """
 
     delta: int
@@ -80,11 +84,13 @@ def knn_specmurt(
 
 
 def _inverse_spectra(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse DFT ``v`` of each column, one row per column, and ``|v|^2 + eps^2``.
+    """Real half-spectrum ``v`` of each column, one row per column, and ``|v|^2 + eps^2``.
 
-    ``eps`` is one per column; the power is squared in the modulus's buffer.
+    ``v`` is the ``rfft`` of the column, bins 0 to n // 2. ``eps`` is one per
+    column, 1e-8 of its largest ``|v|``, which the half-spectrum holds as the
+    whole one does; the power is squared in the modulus's buffer.
     """
-    v = np.fft.ifft(cols.T, axis=1)
+    v = np.fft.rfft(cols.T, axis=1)
     power = np.abs(v)
     eps = 1e-8 * power.max(axis=1)
     power **= 2
@@ -92,20 +98,24 @@ def _inverse_spectra(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, power
 
 
-def _deconvolve(u: np.ndarray, v: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``y = h * z`` (circular) for ``h`` against several columns ``z``.
+def _deconvolve(
+    u: np.ndarray, v: np.ndarray, power: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``y = h * z`` (circular) for ``h`` against several columns ``z`` of n bins.
 
-    ``u`` is the inverse DFT of ``y`` and ``v``, ``power`` the rows
+    ``u`` is the real half-spectrum of ``y`` and ``v``, ``power`` the rows
     :func:`_inverse_spectra` gives for the columns; ``v`` is overwritten
-    by ``u * conj(v) / power``. Returns the shift per column that aligns it
+    by ``u * conj(v) / power``, half of a Hermitian spectrum whose inverse
+    ``h`` is real. n is passed because an odd and an even length can have
+    half-spectra of one size. Returns the shift per column that aligns it
     to ``y`` through :func:`shift_frame`, in ``[-n/2, n/2)``, and the
     (columns, n) matrix of ``|h|``.
     """
-    n = len(u)
     np.conjugate(v, out=v)
     np.multiply(u, v, out=v)
     np.divide(v, power, out=v)
-    mags = np.abs(np.fft.fft(v, axis=1))
+    mags = np.fft.irfft(v, n, axis=1)
+    np.abs(mags, out=mags)
     # h peaks at the negated displacement of z relative to y; negate it so
     # that shift_frame(z, delta) lines z up with y.
     delta = (n // 2 - np.argmax(mags, axis=1)) % n - n // 2
@@ -129,7 +139,7 @@ def estimate_shift_deconv(y: np.ndarray, z: np.ndarray) -> ShiftEstimate:
     if not np.any(z):
         raise KernelError("candidate column is all zero")
     v, power = _inverse_spectra(np.stack([y, z], axis=1))
-    delta, mags = _deconvolve(v[0], v[1:], power[1:])
+    delta, mags = _deconvolve(v[0], v[1:], power[1:], len(y))
     top = np.sort(mags[0])[::-1]
     peak = float(top[0])
     second = float(top[1]) if len(top) > 1 else 0.0
@@ -141,29 +151,37 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     """Neighbor frames and shifts of every target, as two (targets, k) arrays.
 
     The pools of k + surplus frames come from one baseline search on the
-    :func:`specmurt_matrix` of ``data``, and the inverse spectra of the
-    targets and of every pooled frame are taken once; each target then
-    divides and transforms back only its own live pool columns (a silent
-    target or column keeps shift 0) and clamps the shifts to
-    ``[-max_shift, max_shift]``. Callers make sure each target keeps at
-    least k + surplus candidates.
+    :func:`specmurt_matrix` of ``data``. The half-spectra of the targets
+    and of every pooled frame are taken once, and so is one zero-padded
+    copy of those frames with every shift in ``[-max_shift, max_shift]`` as
+    a view. Each target then divides and transforms back only its own live
+    pool columns (a silent target or column keeps shift 0), clamps the
+    shifts to ``[-max_shift, max_shift]`` and gathers its aligned columns
+    from that view. Callers make sure each target keeps at least
+    k + surplus candidates.
     """
     targets = np.asarray(targets, dtype=int)
+    n_bins = data.shape[0]
     pools = _exhaustive_search(specmurt_matrix(data), targets, cands, k + surplus, 0)[0]
     used = np.union1d(pools, targets)
-    v, power = _inverse_spectra(data[:, used])
+    cols = data[:, used]
+    v, power = _inverse_spectra(cols)
+    windows = _shift_windows(cols.T, max_shift)
     live = np.any(data, axis=0)
     found = np.empty((2, len(targets), k), dtype=int)
     for i, (target, frames) in enumerate(zip(targets, pools)):
+        at = np.searchsorted(used, frames)
         shifts = np.zeros(len(frames), dtype=int)
         if live[target]:
-            on = np.searchsorted(used, frames[live[frames]])
+            on = at[live[frames]]
             u = v[np.searchsorted(used, target)]
-            shifts[live[frames]] = _deconvolve(u, v[on], power[on])[0]
+            shifts[live[frames]] = _deconvolve(u, v[on], power[on], n_bins)[0]
         shifts = np.clip(shifts, -max_shift, max_shift)
-        # One row per pool frame; the batched row dot products are the same
-        # sums as np.dot on each column, so distances match a per-frame loop.
-        diff = np.ascontiguousarray((shift_frame(data[:, frames], shifts) - data[:, [target]]).T)
+        # One C-ordered row per pool frame, the values shift_frame gives; the
+        # batched row dot products are the same sums as np.dot on each row,
+        # so distances match a per-frame loop.
+        diff = windows[at, max_shift + shifts]
+        diff -= data[:, target]
         dists = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
         found[:, i] = _top_k(dists, frames, shifts, k)
     return found[0], found[1]

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sikam import kam, specmurt
+from sikam import kam, shiftkam, specmurt
 from sikam.shiftkam import shift_frame
 
 
@@ -144,6 +144,7 @@ class TestEstimateShiftDeconv:
         y = rng.random(64)
         est = specmurt.estimate_shift_deconv(y, y)
         assert est.delta == 0
+        assert est.peak_value == pytest.approx(1.0)  # h is the unit impulse
         assert est.peak_ratio > 10
 
     def test_circular_shift_sign_convention(self, rng):
@@ -189,6 +190,20 @@ class TestEstimateShiftDeconv:
     def test_all_zero_candidate_rejected(self):
         with pytest.raises(kam.KernelError):
             specmurt.estimate_shift_deconv(np.ones(16), np.zeros(16))
+
+    @pytest.mark.parametrize("n", [15, 16, 29, 232])
+    def test_half_spectrum_matches_full_complex_fft(self, rng, n):
+        # |h| from the real half-spectrum is the full complex formula's |h|
+        # divided by n, for odd and even bin counts, and peaks at the same lag
+        y, cols = rng.random(n), rng.random((n, 40))
+        u, v = np.fft.ifft(y), np.fft.ifft(cols, axis=0)
+        eps = 1e-8 * np.abs(v).max(axis=0)
+        full = np.abs(np.fft.fft(u[:, None] * np.conj(v) / (np.abs(v) ** 2 + eps**2), axis=0)).T
+        spectra, power = specmurt._inverse_spectra(np.column_stack([y, cols]))
+        shifts, half = specmurt._deconvolve(spectra[0], spectra[1:], power[1:], n)
+        assert half.shape == (40, n)
+        assert np.all(np.abs(n * half - full) <= 1e-12 * full.max(axis=1, keepdims=True))
+        np.testing.assert_array_equal(shifts, (n // 2 - np.argmax(full, axis=1)) % n - n // 2)
 
     def test_all_zero_target_rejected(self):
         with pytest.raises(kam.KernelError):
@@ -280,6 +295,25 @@ class TestKnnSpecmurtPruned:
         with pytest.raises(kam.KernelError):
             specmurt.knn_specmurt_pruned(rng.random((16, 8)), 0, range(8), 4, 4, 2)
 
+    @pytest.mark.parametrize("max_shift", [0, 1, 9, 24], ids=lambda d: f"max-shift-{d}")
+    def test_padded_window_distances_match_shift_frame(self, rng, max_shift):
+        # the re-rank reads aligned rows from one padded copy of the pooled
+        # frames; its distances must be bitwise those of shift_frame columns
+        f, t = 24, 30
+        data = rng.random((f, t))
+        used = np.sort(rng.choice(t, 20, replace=False))
+        windows = shiftkam._shift_windows(data[:, used].T, max_shift)
+        for target in used[:4]:
+            frames = rng.choice(used, 12, replace=False)
+            shifts = rng.integers(-max_shift, max_shift + 1, len(frames))
+            shifts[:3] = [0, -max_shift, max_shift]
+            cols = np.ascontiguousarray((shift_frame(data[:, frames], shifts) - data[:, [target]]).T)
+            want = np.matmul(cols[:, None, :], cols[:, :, None])[:, 0, 0]
+            rows = windows[np.searchsorted(used, frames), max_shift + shifts]
+            rows -= data[:, target]
+            got = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+            np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize(
         "target, candidates, k, surplus, max_shift",
         [
@@ -316,10 +350,10 @@ def reference_specmurt_plans(mag, support, k, surplus, max_shift):
         shifts = np.zeros(len(pool), dtype=int)
         if np.any(y):
             live = np.flatnonzero(np.any(cols, axis=0))
-            u = np.fft.ifft(y)
-            v = np.fft.ifft(cols[:, live], axis=0)
+            u = np.fft.rfft(y)
+            v = np.fft.rfft(cols[:, live], axis=0)
             eps = 1e-8 * np.abs(v).max(axis=0)
-            h = np.abs(np.fft.fft(u[:, None] * np.conj(v) / (np.abs(v) ** 2 + eps**2), axis=0))
+            h = np.abs(np.fft.irfft(u[:, None] * np.conj(v) / (np.abs(v) ** 2 + eps**2), n, axis=0))
             shifts[live] = (n // 2 - np.argmax(h, axis=0)) % n - n // 2
         clamped += int(np.sum(np.abs(shifts) > max_shift))
         shifts = np.clip(shifts, -max_shift, max_shift)
