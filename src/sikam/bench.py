@@ -5,19 +5,31 @@ matrices so their growth can be compared against the expected asymptotics:
 the baseline search is quadratic in the frame count, the exhaustive
 shift-invariant search additionally grows linearly with the shift range, and
 the specmurt similarity stage does not depend on the shift range at all.
+The similarity stages time one-target searches; the baseline stage times the
+batched search and median over runs of frames (see ``_stages``).
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import kam, shiftkam, specmurt
+from .shiftkam import KernelError
 
 # The timed stages, named as the BenchPoint fields that hold their times.
 STAGES = ("baseline_total", "shift_similarity", "specmurt_similarity")
+
+# Thread counts of the BLAS and OpenMP builds numpy may use; the measuring
+# interpreter runs each with one thread.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -32,52 +44,124 @@ class BenchPoint:
     specmurt_similarity: float
 
 
-def _stages(n_bins: int, n_frames: int, max_shift: int, k: int, seed: int) -> dict:
-    """The timed stages of one size, each searching every frame of a random matrix."""
-    mag = np.random.default_rng(seed).random((n_bins, n_frames))
-    all_frames = np.arange(n_frames)
+# Each stage's target frames are split into this many runs of consecutive
+# frames; the sizes take turns run by run (see _measure).
+_RUNS = 16
 
-    def run_baseline():
-        for t in range(n_frames):
-            nset = shiftkam.knn_shift_exhaustive(mag, t, all_frames, k, 0)
-            kam.median_estimate(mag, nset)
 
-    def run_shift_similarity():
-        for t in range(n_frames):
+def _stages(mag: np.ndarray, max_shift: int, k: int) -> dict:
+    """The timed stages of one size, each searching every frame of ``mag``.
+
+    A stage is a list of steps that together make one pass over the frames,
+    one step per run of target frames, after the specmurt matrix in the
+    specmurt stage; every size has the same number of steps. The similarity
+    stages search one target at a time (:func:`shiftkam.knn_shift_exhaustive`
+    and :func:`specmurt.knn_specmurt`), which shows the per-target cost of a
+    shift range. The baseline stage searches a whole run at once and takes
+    its medians at once, as :func:`kam.plan_neighbors` searches a support:
+    its claim is about all frames together, and one-target calls would spend
+    most of their time in per-call work that does not grow with T.
+    """
+    all_frames = np.arange(mag.shape[1])
+    runs = np.array_split(all_frames, _RUNS)
+    spec = {}
+
+    def baseline(targets):
+        frames, shifts = shiftkam._exhaustive_search(mag, targets, all_frames, k, 0)
+        kam._medians(mag, frames, shifts)
+
+    def shift_similarity(targets):
+        for t in targets.tolist():
             shiftkam.knn_shift_exhaustive(mag, t, all_frames, k, max_shift)
 
-    def run_specmurt_similarity():
-        spec = specmurt.specmurt_matrix(mag)
-        for t in range(n_frames):
-            specmurt.knn_specmurt(mag, t, all_frames, k, spec=spec)
+    def specmurt_matrix():
+        spec["matrix"] = specmurt.specmurt_matrix(mag)
 
-    return dict(zip(STAGES, (run_baseline, run_shift_similarity, run_specmurt_similarity)))
+    def specmurt_similarity(targets):
+        for t in targets.tolist():
+            specmurt.knn_specmurt(mag, t, all_frames, k, spec=spec["matrix"])
+
+    def steps(search):
+        return [lambda run=run: search(run) for run in runs]
+
+    return dict(
+        zip(
+            STAGES,
+            (
+                steps(baseline),
+                steps(shift_similarity),
+                [specmurt_matrix] + steps(specmurt_similarity),
+            ),
+        )
+    )
 
 
 def run_bench(sizes, k: int = 16, reps: int = 3, seed: int = 0) -> list[BenchPoint]:
     """One :class:`BenchPoint` per (n_bins, n_frames, max_shift) triple.
 
-    Every stage of every size runs once untimed (FFT plans, allocator,
-    caches). Each rep then times all stages of one size, then of the next,
-    so that a slow spell of a shared machine falls on all sizes alike and
-    every stage runs after the same stages at every size; each time is the
-    median over reps.
+    Each rep runs in a fresh interpreter with single-threaded BLAS, as
+    :func:`_measure`, and each reported time is the median over reps. On a
+    shared machine a BLAS worker thread can take milliseconds to wake for
+    one small matrix product; the heap and the garbage collector of a
+    process that holds much else slow some sizes more than others; and
+    where a process's arrays land in memory biases all of its timings
+    alike. None of that belongs to the searches being measured. Raises
+    :class:`KernelError` for fewer than 2 bins, a shift range outside
+    ``[0, n_bins]`` or a ``k`` outside ``[1, n_frames)``.
     """
-    stages = [_stages(f, t, d, k, seed) for f, t, d in sizes]
-    for fns in stages:
-        for fn in fns.values():
-            fn()
-    times = [{name: [] for name in STAGES} for _ in sizes]
+    sizes = [(int(f), int(t), int(d)) for f, t, d in sizes]
+    for n_bins, n_frames, max_shift in sizes:
+        if n_bins < 2 or not 0 <= max_shift <= n_bins or not 1 <= k < n_frames:
+            raise KernelError(
+                f"size {n_bins}:{n_frames}:{max_shift} with k={k} needs at least 2 bins, "
+                "a shift range in [0, bins] and k in [1, frames)"
+            )
+    env = {**os.environ, **dict.fromkeys(_THREAD_VARIABLES, "1")}
+    # the measuring interpreter imports this very package
+    paths = (str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    argv = [sys.executable, "-m", "sikam.bench", json.dumps([sizes, k, seed])]
+    times = []
     for _ in range(reps):
-        for fns, spent in zip(stages, times):
-            for name, fn in fns.items():
-                t0 = time.perf_counter()
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise RuntimeError(f"the benchmark interpreter failed:\n{done.stderr}")
+        times.append(json.loads(done.stdout))
+    # (reps, sizes, stages) seconds; the stages in STAGES order, as BenchPoint has them
+    medians = np.median(np.reshape(times, (reps, len(sizes), len(STAGES))), axis=0)
+    return [BenchPoint(*size, *map(float, row)) for size, row in zip(sizes, medians)]
+
+
+def _measure(sizes, k: int, seed: int) -> list[list[float]]:
+    """One rep of :func:`run_bench` in this process: the seconds of every stage of every size.
+
+    Every stage of every size runs once untimed (FFT plans, allocator,
+    caches). Then the stages are timed one after the other, and within a
+    stage the sizes take turns step by step: the first step of every size,
+    then the second step of every size in reverse order, and so on. A slow
+    spell of a shared machine, which lasts longer than a step, thus falls
+    on all sizes alike instead of on one side of a ratio, and each size
+    goes first as often as last. A stage's time is the sum of its steps.
+    """
+    # one random matrix per shape, so that sizes differing only in the shift
+    # range search the very same array
+    mags = {}
+    for f, t, _ in sizes:
+        mags.setdefault((f, t), np.random.default_rng(seed).random((f, t)))
+    stages = [_stages(mags[f, t], d, k) for f, t, d in sizes]
+    for steps in stages:
+        for fns in steps.values():
+            for fn in fns:
                 fn()
-                spent[name].append(time.perf_counter() - t0)
-    return [
-        BenchPoint(f, t, d, **{name: float(np.median(v)) for name, v in spent.items()})
-        for (f, t, d), spent in zip(sizes, times)
-    ]
+    spent = [[0.0] * len(STAGES) for _ in sizes]
+    for n, name in enumerate(STAGES):
+        for j, fns in enumerate(zip(*(steps[name] for steps in stages))):
+            order = range(len(sizes)) if j % 2 == 0 else reversed(range(len(sizes)))
+            for i in order:
+                t0 = time.perf_counter()
+                fns[i]()
+                spent[i][n] += time.perf_counter() - t0
+    return spent
 
 
 def doubling_ratios(points) -> list[dict]:
@@ -111,3 +195,9 @@ def format_table(points) -> str:
             f"{p.specmurt_similarity:>11.4f}s"
         )
     return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    # one rep of run_bench: sizes, k and seed as one JSON argument, the
+    # seconds of every stage of every size as JSON on stdout
+    print(json.dumps(_measure(*json.loads(sys.argv[1]))))

@@ -71,10 +71,20 @@ def median_estimate(mag, nset: NeighborSet) -> np.ndarray:
     """
     if len(nset) == 0:
         raise KernelError("empty neighbor set")
-    data = _as_matrix(mag)
-    stack = shift_frame(data[:, nset.frames], nset.shifts)
-    kth = (len(nset) - 1) // 2
-    return np.partition(stack, kth, axis=1)[:, kth]
+    return _medians(_as_matrix(mag), nset.frames[None], nset.shifts[None])[:, 0]
+
+
+def _medians(data: np.ndarray, frames: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """:func:`median_estimate` of n neighbor lists at once, one column each.
+
+    Row i of the (n, K) ``frames`` and ``shifts`` holds the K (frame, shift)
+    pairs of list i, K >= 1; the result is (F, n).
+    """
+    stack = data[:, frames.ravel()]
+    if shifts.any():
+        stack = shift_frame(stack, shifts.ravel())
+    kth = (frames.shape[1] - 1) // 2
+    return np.partition(stack.reshape(len(data), *frames.shape), kth, axis=2)[:, :, kth]
 
 
 def build_soft_mask(s_est, x_mag) -> np.ndarray:

@@ -77,7 +77,9 @@ def _search_pool(data, target: int, candidates, max_shift: int, **counts: int) -
         cands = candidates.astype(int, copy=False)
     else:
         cands = np.fromiter((int(c) for c in candidates), dtype=int)
-    cands = np.unique(cands)
+    # np.unique sorts; a pool that is already sorted and distinct skips it
+    if not (cands[1:] > cands[:-1]).all():
+        cands = np.unique(cands)
     if not 0 <= target < n_frames or len(cands) and not 0 <= cands[0] <= cands[-1] < n_frames:
         raise KernelError(f"target and candidates must be frames in [0, {n_frames})")
     cands = cands[cands != target]
@@ -198,18 +200,14 @@ def _exhaustive_search(data, targets, cands, k: int, delta: int) -> tuple[np.nda
     if k == 0:
         return np.zeros((2, len(targets), 0), dtype=int)
     n_bins, n_frames = data.shape
-    valid = np.zeros((len(targets), n_frames), dtype=bool)
-    valid[:, cands] = True
-    valid[np.arange(len(targets)), targets] = False
     energy = np.einsum("ij,ij->j", data, data)
     # -2 * target is exact, so each product below is -2 * (band . target)
     target_cols = -2.0 * data[:, targets]
-    best = np.full(valid.shape, np.inf)
-    runner = best.copy()
-    best_shift = np.zeros(valid.shape, dtype=int)
+    best, runner = np.full((2, len(targets), n_frames), np.inf)
+    best_shift = np.zeros(best.shape, dtype=int)
     # Shifts in order of |d|, so the energy of the bins a shift drops (the
     # first d for d > 0, the last |d| for d < 0) grows by one row per step.
-    dropped_low, dropped_high = np.zeros(n_frames), np.zeros(n_frames)
+    dropped_low, dropped_high = np.zeros((2, n_frames))
     for d in sorted(range(-delta, delta + 1), key=abs):
         lo, hi = max(d, 0), n_bins + min(d, 0)
         approx = target_cols[lo - d : hi - d].T @ data[lo:hi]
@@ -226,20 +224,25 @@ def _exhaustive_search(data, targets, cands, k: int, delta: int) -> tuple[np.nda
     # m for every distance to target i, the loudest frame bounding the candidate energy
     margin = _MARGIN_PER_BIN * (n_bins + 3) * (energy.max() + energy[targets])
     margin += n_bins * _TINY
-    best[~valid] = np.inf
+    # frames outside the pool, and every target itself, are no neighbors
+    outside = np.ones(n_frames, dtype=bool)
+    outside[cands] = False
+    best[:, outside] = np.inf
     rows = np.arange(len(targets))[:, None]
-    # the k smallest bests of every target, in ascending order
-    short = best.argpartition(k - 1, axis=1)[:, :k]
-    short = short[rows, best[rows, short].argsort(axis=1)]
+    best[rows, targets[:, None]] = np.inf
+    # every target's frames by ascending best; the first k are short-listed
+    order = best.argsort(axis=1)
+    short = order[:, :k]
     center = best[rows, short]
     gap = 2 * margin[:, None]
     # every frame whose best - m reaches the k-th smallest best + m
     limit = center[:, -1:] + gap
     # The margin alone settles the top K, its order and every shift when
-    # exactly K are short-listed, their bests are more than 2m apart and no
-    # frame has a second shift within 2m of its best.
+    # exactly K are short-listed (the (k + 1)-th best is above the limit),
+    # their bests are more than 2m apart and no frame has a second shift
+    # within 2m of its best.
     unsettled = (
-        ((best <= limit).sum(axis=1) > k)
+        (best[rows, order[:, k : k + 1]] <= limit).any(axis=1)
         | (center[:, 1:] - center[:, :-1] <= gap).any(axis=1)
         | (runner[rows, short] - center <= gap).any(axis=1)
     )

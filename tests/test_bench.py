@@ -1,4 +1,7 @@
+import pytest
+
 from sikam import bench
+from sikam.shiftkam import KernelError
 
 
 def test_run_bench_reports_positive_times():
@@ -6,6 +9,12 @@ def test_run_bench_reports_positive_times():
     assert p.baseline_total > 0
     assert p.shift_similarity > 0
     assert p.specmurt_similarity > 0
+
+
+@pytest.mark.parametrize("k", [0, 24, 30])
+def test_neighbor_count_outside_the_frames_rejected(k):
+    with pytest.raises(KernelError):
+        bench.run_bench([(16, 24, 2)], k=k, reps=1)
 
 
 def test_doubling_ratios_structure():

@@ -109,6 +109,18 @@ class TestMedianEstimate:
         with pytest.raises(kam.KernelError):
             kam.median_estimate(np.ones((3, 3)), kam.NeighborSet(0, ()))
 
+    @pytest.mark.parametrize("max_shift", [0, 3])
+    def test_batched_medians_match_one_list_at_a_time(self, rng, max_shift):
+        # the n lists of the batched form, each against its own sort oracle
+        mag = rng.random((10, 15))
+        frames = rng.integers(0, 15, size=(6, 5))
+        shifts = rng.integers(-max_shift, max_shift + 1, size=(6, 5))
+        got = kam._medians(mag, frames, shifts)
+        assert got.shape == (10, 6)
+        for i in range(6):
+            stack = np.stack([shift_frame(mag[:, f], d) for f, d in zip(frames[i], shifts[i])])
+            np.testing.assert_array_equal(got[:, i], np.sort(stack, axis=0)[2])
+
     @given(
         arrays(np.float64, (5, 9), elements=st.floats(0, 100, allow_nan=False)),
         st.floats(0, 50, allow_nan=False),
