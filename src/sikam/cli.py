@@ -104,8 +104,9 @@ def parse_support_ranges(text: str) -> list[tuple[float, float]]:
             lo, hi = float(bits[0]), float(bits[1])
         except ValueError as exc:
             raise UsageError(f"bad support range {part!r}: {exc}") from exc
-        if hi <= lo or lo < 0:
-            raise UsageError(f"bad support range {part!r}: need 0 <= start < end")
+        # false for a NaN bound too
+        if not 0 <= lo < hi < float("inf"):
+            raise UsageError(f"bad support range {part!r}: need 0 <= start < end < inf")
         ranges.append((lo, hi))
     return ranges
 
@@ -120,12 +121,9 @@ def _make_dir(path: Path) -> Path:
 
 
 def _shift_histogram(plans) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for nset in plans.values():
-        for _, shift in nset.neighbors:
-            key = str(shift)
-            counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items(), key=lambda kv: int(kv[0])))
+    shifts = [nset.shifts for nset in plans.values()]
+    values, counts = np.unique(np.concatenate(shifts) if shifts else [], return_counts=True)
+    return {str(int(v)): int(c) for v, c in zip(values, counts)}
 
 
 def _kernel_config(args, **settings) -> SeparationConfig:
@@ -281,7 +279,11 @@ def _parse_sizes(text: str) -> list[tuple[int, int, int]]:
 
 def cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
-    points = benchmod.run_bench(sizes, k=args.k, reps=args.reps, seed=args.seed)
+    try:
+        points = benchmod.run_bench(sizes, k=args.k, reps=args.reps, seed=args.seed)
+    except KernelError as exc:
+        # bench has no input that a setting could be infeasible for
+        raise UsageError(str(exc)) from exc
     print(benchmod.format_table(points))
     ratios = benchmod.doubling_ratios(points)
     if ratios:
@@ -292,25 +294,22 @@ def cmd_bench(args) -> int:
                 f"shift-similarity x{r['shift_similarity']:.2f}, "
                 f"specmurt-similarity x{r['specmurt_similarity']:.2f}"
             )
-    t_points = {}
-    for p in points:
-        t_points.setdefault((p.n_bins, p.max_shift), []).append(p)
-    for (f, d), group in t_points.items():
-        if len(group) >= 2 and len({p.n_frames for p in group}) == len(group):
-            slope = benchmod.loglog_slope(
-                [p.n_frames for p in group], [p.baseline_total for p in group]
-            )
-            print(f"\nlog-log slope of baseline vs T (F={f}, delta={d}): {slope:.2f}")
-    d_points = {}
-    for p in points:
-        d_points.setdefault((p.n_bins, p.n_frames), []).append(p)
-    for (f, t), group in d_points.items():
-        if len(group) >= 2 and len({p.max_shift for p in group}) == len(group):
-            slope = benchmod.loglog_slope(
-                [2 * p.max_shift + 1 for p in group],
-                [p.shift_similarity for p in group],
-            )
-            print(f"log-log slope of shift similarity vs (2*delta+1) (F={f}, T={t}): {slope:.2f}")
+    # (the sizes a group shares, the x of a point, the stage fitted, the printed line)
+    fits = (
+        (lambda p: (p.n_bins, p.max_shift), lambda p: p.n_frames, "baseline_total",
+         "\nlog-log slope of baseline vs T (F={}, delta={}): {:.2f}"),
+        (lambda p: (p.n_bins, p.n_frames), lambda p: 2 * p.max_shift + 1, "shift_similarity",
+         "log-log slope of shift similarity vs (2*delta+1) (F={}, T={}): {:.2f}"),
+    )
+    for group_key, x, stage, line in fits:
+        groups = {}
+        for p in points:
+            groups.setdefault(group_key(p), []).append(p)
+        for shared, group in groups.items():
+            xs = [x(p) for p in group]
+            if len(xs) >= 2 and len(set(xs)) == len(xs):
+                slope = benchmod.loglog_slope(xs, [getattr(p, stage) for p in group])
+                print(line.format(*shared, slope))
     if args.output:
         payload = [dataclasses.asdict(p) for p in points]
         _make_dir(Path(args.output).parent)

@@ -65,22 +65,17 @@ def specmurt_matrix(mag) -> np.ndarray:
     return np.abs(np.fft.rfft(data, axis=0))[1:]
 
 
-def knn_specmurt(
-    mag, target: int, candidates: Iterable[int], count: int, spec: np.ndarray | None = None
-) -> np.ndarray:
+def knn_specmurt(mag, target: int, candidates: Iterable[int], count: int) -> np.ndarray:
     """``count`` candidate frames closest to the target in the specmurt domain.
 
     Returns frame indices only, closest first; shifts are assigned later.
-    ``spec`` may carry a precomputed :func:`specmurt_matrix` to avoid
-    recomputation. This is the one-target case of the baseline search on the
-    specmurt matrix that the pruned search runs for all targets at once.
-    Raises :class:`KernelError` as :func:`knn_shift_exhaustive`, ``count`` as k.
+    This is the one-target case of the baseline search on the specmurt
+    matrix that the pruned search runs for all targets at once. Raises
+    :class:`KernelError` as :func:`knn_shift_exhaustive`, ``count`` as k.
     """
     data = _as_matrix(mag)
     cands = _search_pool(data, target, candidates, max_shift=0, count=count)
-    if spec is None:
-        spec = specmurt_matrix(data)
-    return _exhaustive_search(spec, [target], cands, count, 0)[0][0]
+    return _exhaustive_search(specmurt_matrix(data), [target], cands, count, 0)[0][0]
 
 
 def _inverse_spectra(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

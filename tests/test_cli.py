@@ -235,6 +235,15 @@ class TestSeparateCommand:
         assert (
             cli.main(["separate", "--input", str(demo_wav), "--support", "bad"]) == 2
         )
+        inf_out = tmp_path / "inf_out"
+        assert (
+            cli.main(
+                ["separate", "--input", str(demo_wav), "--output-dir", str(inf_out),
+                 "--support", "0:inf"]
+            )
+            == 2
+        )
+        assert not inf_out.exists()
         assert (
             cli.main(
                 [
@@ -570,12 +579,24 @@ class TestBenchCommand:
         )
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--reps", "0"], ["--reps", "-1"], ["--k", "0"], ["--sizes", "16:30:17"]],
+    )
+    def test_bad_settings_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "bench.json"
+        code = cli.main(["bench", "--sizes", "16:30:2", "--reps", "1", *flags, "--output", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestManifestParsing:
     def test_support_ranges(self):
         assert cli.parse_support_ranges("1.0:2.0,3:4.5") == [(1.0, 2.0), (3.0, 4.5)]
         assert cli.parse_support_ranges("") == []
 
-    @pytest.mark.parametrize("text", ["5", "2:1", "-1:3", "a:b"])
+    @pytest.mark.parametrize("text", ["5", "2:1", "-1:3", "a:b", "0:inf", "0:nan", "nan:1"])
     def test_bad_ranges(self, text):
         with pytest.raises(cli.UsageError):
             cli.parse_support_ranges(text)
