@@ -16,20 +16,9 @@ from .evaluate import (
     run_grid,
     sdr,
 )
-from .kam import (
-    NeighborSet,
-    SeparationConfig,
-    build_soft_mask,
-    median_estimate,
-    separate,
-)
-from .shiftkam import knn_shift_exhaustive, shift_frame
-from .specmurt import (
-    ShiftEstimate,
-    estimate_shift_deconv,
-    knn_specmurt,
-    knn_specmurt_pruned,
-)
+from .kam import SeparationConfig, build_soft_mask, plan_neighbors, separate
+from .shiftkam import shift_frame
+from .specmurt import ShiftEstimate, estimate_shift_deconv
 from .synth import interference_clip, synthesize_note
 from .timefreq import (
     ComplexSpectrogram,
@@ -43,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ComplexSpectrogram",
     "EvalResult",
-    "NeighborSet",
     "SeparationConfig",
     "ShiftEstimate",
     "SyntheticScene",
@@ -54,15 +42,11 @@ __all__ = [
     "forward_logfreq",
     "interference_clip",
     "inverse_logfreq",
-    "knn_shift_exhaustive",
-    "knn_specmurt",
-    "knn_specmurt_pruned",
-    "median_estimate",
     "nsdr",
+    "plan_neighbors",
     "run_grid",
     "sdr",
     "separate",
     "shift_frame",
     "synthesize_note",
-    "__version__",
 ]

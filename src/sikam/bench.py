@@ -7,11 +7,12 @@ shift-invariant search additionally grows linearly with the shift range, and
 the specmurt search does not depend on the shift range at all. The baseline
 stage times the batched search and median over runs of frames, the specmurt
 stage the ``specmurt`` variant's whole search over runs of frames, and the
-shift stage one-target exhaustive searches (see ``_stages``). The shift stage
-stays one target at a time because a batched search grows less than the
-shift range: on a 2-core machine, doubling the range of a batched stage
-measured x1.53 in 1 of 8 runs of acceptance criterion 7, under its x1.6
-floor, against 0 of 8 runs for the one-target stage.
+shift stage the exhaustive search engine called with one target at a time
+(see ``_stages``). The shift stage stays one target at a time because a
+batched search grows less than the shift range: on a 2-core machine,
+doubling the range of a batched stage measured x1.53 in 1 of 8 runs of
+acceptance criterion 7, under its x1.6 floor, against 0 of 8 runs for the
+one-target stage.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ def _stages(mag: np.ndarray, max_shift: int, k: int) -> dict:
     :func:`kam.plan_neighbors` searches a support: their claims are about
     all frames together, and one-target calls would spend most of their time
     in per-call work that grows with neither T nor the shift range. The
-    shift stage searches one target at a time
-    (:func:`shiftkam.knn_shift_exhaustive`); the module docstring says why.
+    shift stage calls :func:`shiftkam._exhaustive_search` with one target at
+    a time; the module docstring says why.
     """
     all_frames = np.arange(mag.shape[1])
 
@@ -76,7 +77,7 @@ def _stages(mag: np.ndarray, max_shift: int, k: int) -> dict:
 
     def shift_similarity(targets):
         for t in targets.tolist():
-            shiftkam.knn_shift_exhaustive(mag, t, all_frames, k, max_shift)
+            shiftkam._exhaustive_search(mag, [t], all_frames, k, max_shift)
 
     def specmurt_similarity(targets):
         specmurt._pruned_search(mag, targets, all_frames, k, 0, max_shift)

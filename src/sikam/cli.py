@@ -120,9 +120,8 @@ def _make_dir(path: Path) -> Path:
     return path
 
 
-def _shift_histogram(plans) -> dict[str, int]:
-    shifts = [nset.shifts for nset in plans.values()]
-    values, counts = np.unique(np.concatenate(shifts) if shifts else [], return_counts=True)
+def _shift_histogram(plan) -> dict[str, int]:
+    values, counts = np.unique(plan.shifts, return_counts=True)
     return {str(int(v)): int(c) for v, c in zip(values, counts)}
 
 
@@ -174,7 +173,7 @@ def cmd_separate(args) -> int:
     for ch in range(len(spects)):
         mean_mag += np.abs(spects[ch].data)
     mean_mag /= len(spects)
-    plans = plan_neighbors(mean_mag, config)
+    plan = plan_neighbors(mean_mag, config)
     del mean_mag
     timings["neighbor_search"] = time.perf_counter() - t0
 
@@ -186,7 +185,7 @@ def cmd_separate(args) -> int:
         t0 = time.perf_counter()
         spect, spects[ch] = spects[ch], None
         masked = spect.with_data(
-            spect.data * separation_masks(np.abs(spect.data), config, plans=plans)
+            spect.data * separation_masks(np.abs(spect.data), config, plan=plan)
         )
         t1 = time.perf_counter()
         source[:, ch] = inverse_logfreq(masked)
@@ -219,9 +218,9 @@ def cmd_separate(args) -> int:
         "candidate_pool": n_frames - len(support),
         "timings_sec": {k: round(v, 6) for k, v in timings.items()},
         "neighbor_stats": {
-            "targets": len(plans),
+            "targets": len(plan),
             "k": config.k,
-            "shift_histogram": _shift_histogram(plans),
+            "shift_histogram": _shift_histogram(plan),
         },
         "outputs": ["source.wav", "interference.wav"],
     }

@@ -7,6 +7,8 @@ soft mask on the complex spectrogram. The kernels differ only in how they
 pick the (frame, shift) neighbors: the baseline and the exhaustive search
 (:mod:`sikam.shiftkam`, the baseline being its zero-shift case) and the
 specmurt searches (:mod:`sikam.specmurt`); estimation and masking are shared.
+:func:`plan_neighbors` is the one entry point of the searches and the one
+gate of their input.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import shiftkam, specmurt
-from .shiftkam import KernelError, NeighborSet, _as_matrix, _neighbor_set, shift_frame
+from .shiftkam import KernelError, _as_matrix, shift_frame
 from .timefreq import ComplexSpectrogram
 
 VARIANTS = ("baseline", "shift_exhaustive", "specmurt", "specmurt_pruned")
@@ -61,24 +63,15 @@ class SeparationConfig:
             raise KernelError(f"unknown variant {self.variant!r}")
 
 
-def median_estimate(mag, nset: NeighborSet) -> np.ndarray:
-    """Per-bin median over the neighbor values, honoring recorded shifts.
-
-    The value contributed to output bin f by neighbor (frame, d) is the
-    neighbor's magnitude at bin f + d, zero when out of range. With an even
-    neighbor count the lower median (element ``(K-1)//2`` of the sorted
-    values) is returned, which keeps the estimate inside the observed values.
-    """
-    if len(nset) == 0:
-        raise KernelError("empty neighbor set")
-    return _medians(_as_matrix(mag), nset.frames[None], nset.shifts[None])[:, 0]
-
-
 def _medians(data: np.ndarray, frames: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """:func:`median_estimate` of n neighbor lists at once, one column each.
+    """Per-bin median over each of n neighbor lists, honoring recorded shifts.
 
     Row i of the (n, K) ``frames`` and ``shifts`` holds the K (frame, shift)
-    pairs of list i, K >= 1; the result is (F, n).
+    pairs of list i, K >= 1; column i of the (F, n) result is its estimate.
+    The value contributed to output bin f by neighbor (frame, d) is the
+    neighbor's magnitude at bin f + d, zero when out of range. With an even
+    K the lower median (element ``(K-1)//2`` of the sorted values) is
+    returned, which keeps the estimate inside the observed values.
     """
     stack = data[:, frames.ravel()]
     if shifts.any():
@@ -106,24 +99,43 @@ def build_soft_mask(s_est, x_mag) -> np.ndarray:
     return mask
 
 
-def plan_neighbors(mag, config: SeparationConfig) -> dict[int, NeighborSet]:
-    """Neighbor sets for every support frame under the configured variant.
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """The neighbors of every support frame.
+
+    ``targets`` holds the support frames in ascending order, shape (n,).
+    Row i of the (n, K) ``frames`` and ``shifts`` holds the K (frame, shift)
+    neighbors of ``targets[i]``, closest first. A shift of d means the value
+    used for output bin f is read from the neighbor's bin f + d, as
+    :func:`shift_frame` shifts a column.
+    """
+
+    targets: np.ndarray
+    frames: np.ndarray
+    shifts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+
+def plan_neighbors(mag, config: SeparationConfig) -> Plan:
+    """Neighbors of every support frame under the configured variant.
 
     Candidates are all frames outside the support. Raises
-    :class:`KernelError` when the pool cannot supply k (plus surplus for the
-    pruned variant) candidates, or when ``config.delta`` exceeds the number
-    of frequency bins.
+    :class:`KernelError` for a support frame outside ``[0, T)``, when the
+    pool cannot supply k (plus surplus for the pruned variant) candidates,
+    or when ``config.delta`` exceeds the number of frequency bins.
     """
     data = _as_matrix(mag)
     n_bins, n_frames = data.shape
     if config.delta > n_bins:
         raise KernelError(f"delta={config.delta} exceeds the {n_bins} frequency bins")
-    support = sorted(t for t in config.support)
-    if not support:
-        return {}
+    support = np.array(sorted(config.support), dtype=int)
+    if not len(support):
+        return Plan(support, *np.zeros((2, 0, config.k), dtype=int))
     if support[0] < 0 or support[-1] >= n_frames:
         raise KernelError("support frame index out of range")
-    candidates = np.setdiff1d(np.arange(n_frames), np.array(support, dtype=int))
+    candidates = np.setdiff1d(np.arange(n_frames), support)
     pool = len(candidates)
     surplus = config.surplus if config.variant == "specmurt_pruned" else 0
     for name, need in (("k", config.k), ("k+surplus", config.k + surplus)):
@@ -137,20 +149,23 @@ def plan_neighbors(mag, config: SeparationConfig) -> dict[int, NeighborSet]:
         frames, shifts = specmurt._pruned_search(
             data, support, candidates, config.k, surplus, config.delta
         )
-    return {t: _neighbor_set(t, f, s) for t, f, s in zip(support, frames, shifts)}
+    return Plan(support, frames, shifts)
 
 
-def separation_masks(mag, config: SeparationConfig, plans=None) -> np.ndarray:
-    """Soft mask matrix for the source of interest: ones outside the support."""
+def separation_masks(mag, config: SeparationConfig, plan: Plan | None = None) -> np.ndarray:
+    """Soft mask matrix for the source of interest: ones outside the support.
+
+    The medians are taken one target at a time, so that no (F, n, K) stack
+    of every target's neighbors is ever held.
+    """
     data = _as_matrix(mag)
-    if plans is None:
-        plans = plan_neighbors(data, config)
-    frames = list(plans)
-    est = np.empty((data.shape[0], len(frames)))
-    for i, t in enumerate(frames):
-        est[:, i] = median_estimate(data, plans[t])
+    if plan is None:
+        plan = plan_neighbors(data, config)
+    est = np.empty((data.shape[0], len(plan)))
+    for i, (frames, shifts) in enumerate(zip(plan.frames, plan.shifts)):
+        est[:, i] = _medians(data, frames[None], shifts[None])[:, 0]
     mask = np.ones_like(data)
-    mask[:, frames] = build_soft_mask(est, data[:, frames])
+    mask[:, plan.targets] = build_soft_mask(est, data[:, plan.targets])
     return mask
 
 

@@ -12,43 +12,17 @@ decides which (frame, shift) pairs need the exact distance, so the neighbor
 sets are those of an exact per-shift comparison.
 
 This module imports nothing from :mod:`sikam`: it owns the search contract
-(:class:`KernelError`, :class:`NeighborSet`, the shift primitive and the
-input gate of the one-target searches) that the other kernels import.
+(:class:`KernelError`, the shift primitive and this engine) that the other
+kernels import. :func:`sikam.kam.plan_neighbors` gates the engine's input.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 
 class KernelError(ValueError):
     """Raised for invalid kernel inputs (for example a candidate pool < K)."""
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """Neighbors of one target frame: (frame, shift) pairs, length K.
-
-    A shift of d means the value used for output bin f is read from the
-    neighbor's bin f + d (content moves down by d bins for positive d).
-    """
-
-    target: int
-    neighbors: tuple[tuple[int, int], ...]
-
-    @property
-    def frames(self) -> np.ndarray:
-        return np.array([f for f, _ in self.neighbors], dtype=int)
-
-    @property
-    def shifts(self) -> np.ndarray:
-        return np.array([s for _, s in self.neighbors], dtype=int)
-
-    def __len__(self) -> int:
-        return len(self.neighbors)
 
 
 def _as_matrix(mag) -> np.ndarray:
@@ -58,47 +32,12 @@ def _as_matrix(mag) -> np.ndarray:
     return data
 
 
-def _search_pool(data, target: int, candidates, max_shift: int, **counts: int) -> np.ndarray:
-    """Sorted, distinct candidate frames of a one-target search, target removed.
-
-    The input gate of the one-target searches: ``counts`` are the numbers of
-    frames a search takes from the pool, by parameter name, and ``max_shift``
-    is its shift range. Raises :class:`KernelError` for a negative count or
-    shift range, a shift range above the bin count, a target or candidate
-    outside ``[0, T)``, or a pool smaller than the counts together.
-    """
-    n_bins, n_frames = data.shape
-    for name, value in {**counts, "shift range": max_shift}.items():
-        if value < 0:
-            raise KernelError(f"{name} must be >= 0, got {value}")
-    if max_shift > n_bins:
-        raise KernelError(f"shift range {max_shift} exceeds the {n_bins} frequency bins")
-    if isinstance(candidates, np.ndarray):
-        cands = candidates.astype(int, copy=False)
-    else:
-        cands = np.fromiter((int(c) for c in candidates), dtype=int)
-    # np.unique sorts; a pool that is already sorted and distinct skips it
-    if not (cands[1:] > cands[:-1]).all():
-        cands = np.unique(cands)
-    if not 0 <= target < n_frames or len(cands) and not 0 <= cands[0] <= cands[-1] < n_frames:
-        raise KernelError(f"target and candidates must be frames in [0, {n_frames})")
-    cands = cands[cands != target]
-    need = sum(counts.values())
-    if len(cands) < need:
-        raise KernelError(f"need {need} candidate frames ({' + '.join(counts)}), got {len(cands)}")
-    return cands
-
-
 def _top_k(
     distances: np.ndarray, frames: np.ndarray, shifts: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frames and shifts of the K smallest by (distance, frame, shift) order."""
     order = np.lexsort((shifts, frames, distances))[:k]
     return frames[order], shifts[order]
-
-
-def _neighbor_set(target: int, frames: np.ndarray, shifts: np.ndarray) -> NeighborSet:
-    return NeighborSet(target=int(target), neighbors=tuple(zip(frames.tolist(), shifts.tolist())))
 
 
 def shift_frame(col: np.ndarray, delta) -> np.ndarray:
@@ -190,15 +129,15 @@ def _exhaustive_search(data, targets, cands, k: int, delta: int) -> tuple[np.nda
     frames whose best is within 2m of the k-th smallest best can make the
     top K. Those are re-scored exactly (every shift of a frame whose
     runner-up is within 2m of its best) unless the margin already settles
-    the top K, its order and every shift. A target never neighbors itself;
-    callers make sure each target keeps at least k candidates and that
-    delta does not exceed the bin count. Row i of the two (targets, k)
-    results holds the neighbors of target i, closest first.
+    the top K, its order and every shift. A frame keeps only its best shift,
+    ties break by ascending (distance, frame, shift), and a target never
+    neighbors itself; callers make sure k >= 1, that each target keeps at
+    least k candidates and that delta does not exceed the bin count. Row i
+    of the two (targets, k) results holds the neighbors of target i,
+    closest first.
     """
     data = np.asarray(data, dtype=float)
     targets = np.asarray(targets, dtype=int)
-    if k == 0:
-        return np.zeros((2, len(targets), 0), dtype=int)
     n_bins, n_frames = data.shape
     energy = np.einsum("ij,ij->j", data, data)
     # -2 * target is exact, so each product below is -2 * (band . target)
@@ -230,9 +169,10 @@ def _exhaustive_search(data, targets, cands, k: int, delta: int) -> tuple[np.nda
     best[:, outside] = np.inf
     rows = np.arange(len(targets))[:, None]
     best[rows, targets[:, None]] = np.inf
-    # every target's frames by ascending best; the first k are short-listed
+    # every target's frames by ascending best; the first k are short-listed,
+    # copied so that the returned frames do not hold the (targets, T) order
     order = best.argsort(axis=1)
-    short = order[:, :k]
+    short = order[:, :k].copy()
     center = best[rows, short]
     gap = 2 * margin[:, None]
     # every frame whose best - m reaches the k-th smallest best + m
@@ -254,23 +194,3 @@ def _exhaustive_search(data, targets, cands, k: int, delta: int) -> tuple[np.nda
             data, targets[i], frames, best_shift[i, frames], tied, k, delta
         )
     return short, shifts
-
-
-def knn_shift_exhaustive(
-    mag, target: int, candidates: Iterable[int], k: int, delta: int
-) -> NeighborSet:
-    """K best (frame, shift) pairs over all shifts in [-delta, delta].
-
-    At most one shift per candidate frame survives (the best one), so a
-    single frame cannot fill several neighbor slots with near-identical
-    content. Ties break by ascending (distance, frame, shift); the target
-    itself is excluded from the pool. ``delta=0`` is the baseline kernel.
-    This is the one-target case of the search :func:`kam.plan_neighbors`
-    runs for all support frames at once. Raises :class:`KernelError` for a
-    negative ``k`` or ``delta``, a ``delta`` above the bin count, a target
-    or candidate outside ``[0, T)``, or fewer than ``k`` candidates.
-    """
-    data = _as_matrix(mag)
-    cands = _search_pool(data, target, candidates, delta, k=k)
-    frames, shifts = _exhaustive_search(data, [target], cands, k, delta)
-    return _neighbor_set(target, frames[0], shifts[0])

@@ -11,24 +11,21 @@ All targets are searched together: their pools are the baseline search of
 :mod:`sikam.shiftkam` run once on the specmurt matrix, and the real
 half-spectrum of every pooled frame is taken once and shared by all
 deconvolutions, as is one zero-padded copy of the pooled frames that the
-re-rank reads its shifted columns from. The one-target functions are cases
-of the same code.
+re-rank reads its shifted columns from. :func:`estimate_shift_deconv` is the
+one-column case of the deconvolution; :func:`sikam.kam.plan_neighbors` gates
+the search's input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .shiftkam import (
     KernelError,
-    NeighborSet,
     _as_matrix,
     _exhaustive_search,
-    _neighbor_set,
-    _search_pool,
     _shift_windows,
     _top_k,
     shift_frame,  # the primitive every returned shift is defined for; no call here
@@ -63,19 +60,6 @@ def specmurt_matrix(mag) -> np.ndarray:
     if data.shape[0] < 2:
         raise KernelError(f"specmurt needs at least 2 frequency bins, got {data.shape[0]}")
     return np.abs(np.fft.rfft(data, axis=0))[1:]
-
-
-def knn_specmurt(mag, target: int, candidates: Iterable[int], count: int) -> np.ndarray:
-    """``count`` candidate frames closest to the target in the specmurt domain.
-
-    Returns frame indices only, closest first; shifts are assigned later.
-    This is the one-target case of the baseline search on the specmurt
-    matrix that the pruned search runs for all targets at once. Raises
-    :class:`KernelError` as :func:`knn_shift_exhaustive`, ``count`` as k.
-    """
-    data = _as_matrix(mag)
-    cands = _search_pool(data, target, candidates, max_shift=0, count=count)
-    return _exhaustive_search(specmurt_matrix(data), [target], cands, count, 0)[0][0]
 
 
 def _inverse_spectra(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +135,10 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     copy of those frames with every shift in ``[-max_shift, max_shift]`` as
     a view. Each target then divides and transforms back only its own live
     pool columns (a silent target or column keeps shift 0), clamps the
-    shifts to ``[-max_shift, max_shift]`` and gathers its aligned columns
-    from that view. Callers make sure each target keeps at least
+    shifts to ``[-max_shift, max_shift]``, gathers its aligned columns
+    from that view and keeps the k closest to the target; with
+    ``surplus=0`` that only re-ranks the pool (the ``specmurt`` variant).
+    Callers make sure k >= 1 and that each target keeps at least
     k + surplus candidates.
     """
     targets = np.asarray(targets, dtype=int)
@@ -180,24 +166,3 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
         dists = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
         found[:, i] = _top_k(dists, frames, shifts, k)
     return found[0], found[1]
-
-
-def knn_specmurt_pruned(
-    mag, target: int, candidates: Iterable[int], k: int, surplus: int, max_shift: int
-) -> NeighborSet:
-    """Accelerated shift-invariant kernel with optional pruning.
-
-    Pipeline: pick ``k + surplus`` frames by specmurt similarity, estimate
-    one shift per frame by deconvolution (clamped to ``[-max_shift,
-    max_shift]``), then keep the ``k`` frames whose aligned columns are
-    closest to the target in the time-frequency domain. With ``surplus=0``
-    the last step only re-ranks, matching the plain accelerated variant.
-    This is the one-target case of the search :func:`kam.plan_neighbors`
-    runs for all support frames at once. Raises :class:`KernelError` as
-    :func:`knn_shift_exhaustive` does, with ``max_shift`` for ``delta``, a
-    negative ``surplus`` too, and ``k + surplus`` candidates needed.
-    """
-    data = _as_matrix(mag)
-    cands = _search_pool(data, target, candidates, max_shift, k=k, surplus=surplus)
-    frames, shifts = _pruned_search(data, [target], cands, k, surplus, max_shift)
-    return _neighbor_set(target, frames[0], shifts[0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from sikam import kam
 from sikam.timefreq import TransformParams, forward_logfreq
 
 settings.register_profile(
@@ -41,6 +42,25 @@ def make_transposition_suite(n_offsets=24, sr=22050.0, f0=220.0):
         spect = forward_logfreq(x, params)
         cols.append(np.abs(spect.data[:, spect.n_frames // 2]))
     return np.stack(cols, axis=1), n_offsets
+
+
+def neighbor_lists(plan):
+    """Each target of a :class:`kam.Plan` with its (frame, shift) neighbors, closest first."""
+    return {
+        t: list(zip(f, s))
+        for t, f, s in zip(plan.targets.tolist(), plan.frames.tolist(), plan.shifts.tolist())
+    }
+
+
+def search_one(mag, target, variant, k, delta=0, surplus=0):
+    """One target's (frame, shift) neighbors from ``kam.plan_neighbors``.
+
+    The target is the whole support, so every other frame is a candidate.
+    """
+    config = kam.SeparationConfig(
+        k=k, delta=delta, surplus=surplus, variant=variant, support={target}
+    )
+    return neighbor_lists(kam.plan_neighbors(mag, config))[target]
 
 
 @pytest.fixture

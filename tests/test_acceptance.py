@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import SMALL_PARAMS, make_transposition_suite
+from conftest import SMALL_PARAMS, make_transposition_suite, search_one
 
 from sikam import evaluate, kam, shiftkam, specmurt
 from sikam.kam import SeparationConfig
@@ -85,13 +85,9 @@ def test_criterion_1_kernel_oracle_equivalence():
         delta = int(rng.integers(0, min(f, 11)))
         for target in rng.choice(t, size=2, replace=False):
             target = int(target)
-            got_b = list(
-                shiftkam.knn_shift_exhaustive(mag, target, range(t), k, 0).neighbors
-            )
+            got_b = search_one(mag, target, "baseline", k)
             assert got_b == brute_force_baseline(mag, target, k)
-            got_s = list(
-                shiftkam.knn_shift_exhaustive(mag, target, range(t), k, delta).neighbors
-            )
+            got_s = search_one(mag, target, "shift_exhaustive", k, delta)
             assert got_s == brute_force_shift(mag, target, k, delta)
             checked += 1
     elapsed = time.perf_counter() - t0
@@ -116,8 +112,8 @@ def test_criterion_2_median_robustness():
                 columns[:, idx] = truth
             else:
                 columns[:, idx] = rng.random(n_bins) * 1000
-        nset = kam.NeighborSet(target=0, neighbors=tuple((i, 0) for i in range(k)))
-        est = kam.median_estimate(columns, nset)
+        neighbors = np.arange(k)[None]
+        est = kam._medians(columns, neighbors, np.zeros_like(neighbors))[:, 0]
         if not np.array_equal(est, truth):
             failures += 1
     report(
@@ -221,15 +217,12 @@ def test_criterion_6_acceleration_agreement(melody_grid):
     for target in (center - 8, center, center + 8):
         noisy_t = mag.copy()
         noisy_t[:, target] += rng.random(mag.shape[0]) * 0.1 * mag[:, target].max()
-        candidates = [c for c in range(mag.shape[1]) if c != target]
-        exh = shiftkam.knn_shift_exhaustive(noisy_t, target, candidates, k, 48)
-        pruned = specmurt.knn_specmurt_pruned(
-            noisy_t, target, candidates, k, 2 * k, 48
-        )
-        exh_map = dict(exh.neighbors)
+        exh = search_one(noisy_t, target, "shift_exhaustive", k, 48)
+        pruned = search_one(noisy_t, target, "specmurt_pruned", k, 48, 2 * k)
+        exh_map = dict(exh)
         matches = sum(
             1
-            for frame, shift in pruned.neighbors
+            for frame, shift in pruned
             if frame in exh_map and abs(shift - exh_map[frame]) <= 1
         )
         overlaps.append(matches / k)

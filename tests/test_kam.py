@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import search_one
+
 from sikam import kam
-from sikam.shiftkam import knn_shift_exhaustive, shift_frame
+from sikam.shiftkam import shift_frame
 from sikam.timefreq import forward_logfreq
 
 
@@ -20,6 +22,12 @@ def brute_force_knn(mag, target, candidates, k):
         entries.append((d, c))
     entries.sort()
     return [(c, 0) for _, c in entries[:k]]
+
+
+def median(mag, neighbors):
+    """The median estimate of one (frame, shift) neighbor list, shape (F,)."""
+    frames, shifts = np.array(neighbors, dtype=int).T
+    return kam._medians(np.asarray(mag), frames[None], shifts[None])[:, 0]
 
 
 mag_matrices = arrays(
@@ -36,21 +44,20 @@ class TestKnnBaseline:
         for _ in range(30):
             mag = rng.random((8, 20))
             target = int(rng.integers(0, 20))
-            nset = knn_shift_exhaustive(mag, target, range(20), 5, 0)
-            assert list(nset.neighbors) == brute_force_knn(mag, target, range(20), 5)
+            got = search_one(mag, target, "baseline", 5)
+            assert got == brute_force_knn(mag, target, range(20), 5)
 
     @given(mag_matrices, st.integers(0, 3))
     def test_matches_oracle_property(self, mag, target):
         n_frames = mag.shape[1]
         target = target % n_frames
         k = min(3, n_frames - 1)
-        nset = knn_shift_exhaustive(mag, target, range(n_frames), k, 0)
-        assert list(nset.neighbors) == brute_force_knn(mag, target, range(n_frames), k)
+        got = search_one(mag, target, "baseline", k)
+        assert got == brute_force_knn(mag, target, range(n_frames), k)
 
     def test_tie_break_by_frame_index(self):
         mag = np.ones((4, 10))
-        nset = knn_shift_exhaustive(mag, 7, range(10), 3, 0)
-        assert list(nset.neighbors) == [(0, 0), (1, 0), (2, 0)]
+        assert search_one(mag, 7, "baseline", 3) == [(0, 0), (1, 0), (2, 0)]
 
     def test_exact_match_wins(self):
         mag = np.zeros((4, 5))
@@ -59,18 +66,16 @@ class TestKnnBaseline:
         mag[:, 1] = [9, 9, 9, 9]
         mag[:, 2] = [7, 0, 7, 0]
         mag[:, 4] = [5, 5, 5, 5]
-        nset = knn_shift_exhaustive(mag, 0, range(5), 1, 0)
-        assert nset.neighbors == ((3, 0),)
+        assert search_one(mag, 0, "baseline", 1) == [(3, 0)]
 
     def test_target_excluded_from_pool(self):
         mag = np.random.default_rng(0).random((4, 6))
-        nset = knn_shift_exhaustive(mag, 2, range(6), 5, 0)
-        assert 2 not in nset.frames
+        assert 2 not in [f for f, _ in search_one(mag, 2, "baseline", 5)]
 
     def test_pool_too_small(self):
         mag = np.ones((4, 4))
         with pytest.raises(kam.KernelError):
-            knn_shift_exhaustive(mag, 0, range(4), 4, 0)
+            search_one(mag, 0, "baseline", 4)
 
 
 class TestMedianEstimate:
@@ -78,36 +83,28 @@ class TestMedianEstimate:
         mag = rng.random((6, 8))
         col = mag[:, 3].copy()
         mag[:, [1, 4, 6]] = col[:, None]
-        nset = kam.NeighborSet(target=0, neighbors=((1, 0), (4, 0), (6, 0)))
-        np.testing.assert_array_equal(kam.median_estimate(mag, nset), col)
+        np.testing.assert_array_equal(median(mag, [(1, 0), (4, 0), (6, 0)]), col)
 
     def test_outlier_rejected(self):
         mag = np.array([[1.0, 2.0, 9.0]])
-        nset = kam.NeighborSet(target=0, neighbors=((0, 0), (1, 0), (2, 0)))
-        assert kam.median_estimate(mag, nset)[0] == 2.0
+        assert median(mag, [(0, 0), (1, 0), (2, 0)])[0] == 2.0
 
     def test_matches_sort_oracle(self, rng):
         mag = rng.random((10, 12))
         frames = rng.integers(0, 12, size=5)
-        nset = kam.NeighborSet(target=0, neighbors=tuple((int(f), 0) for f in frames))
         expected = np.sort(mag[:, frames], axis=1)[:, (5 - 1) // 2]
-        np.testing.assert_array_equal(kam.median_estimate(mag, nset), expected)
+        np.testing.assert_array_equal(median(mag, [(f, 0) for f in frames]), expected)
 
     def test_shifts_respected(self, rng):
         mag = rng.random((10, 4))
-        nset = kam.NeighborSet(target=0, neighbors=((1, 2), (2, -3), (3, 0)))
-        stack = np.stack([shift_frame(mag[:, f], s) for f, s in nset.neighbors])
+        neighbors = [(1, 2), (2, -3), (3, 0)]
+        stack = np.stack([shift_frame(mag[:, f], s) for f, s in neighbors])
         expected = np.sort(stack, axis=0)[(3 - 1) // 2]
-        np.testing.assert_array_equal(kam.median_estimate(mag, nset), expected)
+        np.testing.assert_array_equal(median(mag, neighbors), expected)
 
     def test_even_k_uses_lower_median(self):
         mag = np.array([[1.0, 2.0, 3.0, 4.0]])
-        nset = kam.NeighborSet(target=0, neighbors=tuple((i, 0) for i in range(4)))
-        assert kam.median_estimate(mag, nset)[0] == 2.0
-
-    def test_empty_neighbor_set_rejected(self):
-        with pytest.raises(kam.KernelError):
-            kam.median_estimate(np.ones((3, 3)), kam.NeighborSet(0, ()))
+        assert median(mag, [(i, 0) for i in range(4)])[0] == 2.0
 
     @pytest.mark.parametrize("max_shift", [0, 3])
     def test_batched_medians_match_one_list_at_a_time(self, rng, max_shift):
@@ -126,9 +123,8 @@ class TestMedianEstimate:
         st.floats(0, 50, allow_nan=False),
     )
     def test_scale_equivariance(self, mag, c):
-        nset = kam.NeighborSet(target=0, neighbors=((1, 0), (3, 1), (5, -2), (7, 0)))
-        scaled = kam.median_estimate(c * mag, nset)
-        np.testing.assert_array_equal(scaled, c * kam.median_estimate(mag, nset))
+        neighbors = [(1, 0), (3, 1), (5, -2), (7, 0)]
+        np.testing.assert_array_equal(median(c * mag, neighbors), c * median(mag, neighbors))
 
     @given(st.data())
     def test_majority_value_wins(self, data):
@@ -147,8 +143,7 @@ class TestMedianEstimate:
             )
         )
         mag = np.concatenate([np.tile(truth, (majority, 1)), outliers]).T
-        nset = kam.NeighborSet(target=0, neighbors=tuple((i, 0) for i in range(k)))
-        np.testing.assert_array_equal(kam.median_estimate(mag, nset), truth)
+        np.testing.assert_array_equal(median(mag, [(i, 0) for i in range(k)]), truth)
 
 
 class TestSoftMask:
@@ -231,9 +226,11 @@ class TestSeparate:
 
     def test_support_out_of_range_rejected(self, rng, small_params):
         spect = self._spect(rng, small_params)
-        config = kam.SeparationConfig(k=2, support=frozenset({10**6}))
-        with pytest.raises(kam.KernelError):
-            kam.separate(spect, config)
+        # before the first frame, just past the last one, and far past it
+        for frame in (-1, spect.n_frames, 10**6):
+            config = kam.SeparationConfig(k=2, support=frozenset({frame}))
+            with pytest.raises(kam.KernelError, match="support frame index out of range"):
+                kam.separate(spect, config)
 
     @pytest.mark.parametrize(
         "variant", ["baseline", "shift_exhaustive", "specmurt", "specmurt_pruned"]
@@ -246,11 +243,11 @@ class TestSeparate:
         config = kam.SeparationConfig(
             k=6, delta=4, surplus=4, variant=variant, support=support
         )
-        plans = kam.plan_neighbors(np.abs(spect.data), config)
-        assert set(plans) == set(support)
-        for nset in plans.values():
-            assert len(nset) == 6
-            assert not set(nset.frames.tolist()) & support
+        plan = kam.plan_neighbors(np.abs(spect.data), config)
+        assert len(plan) == len(support)
+        assert plan.targets.tolist() == sorted(support)
+        assert plan.frames.shape == plan.shifts.shape == (len(support), 6)
+        assert not set(plan.frames.ravel().tolist()) & support
 
     @pytest.mark.parametrize(
         "variant", ["baseline", "shift_exhaustive", "specmurt", "specmurt_pruned"]
@@ -260,7 +257,7 @@ class TestSeparate:
         config = kam.SeparationConfig(k=3, delta=9, surplus=3, variant=variant, support={2})
         with pytest.raises(kam.KernelError, match="delta=9 exceeds the 8 frequency bins"):
             kam.plan_neighbors(mag, config)
-        assert len(kam.plan_neighbors(mag, replace(config, delta=8))[2]) == 3
+        assert kam.plan_neighbors(mag, replace(config, delta=8)).frames.shape == (1, 3)
 
 
 class TestSeparationConfig:

@@ -4,8 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sikam import kam, shiftkam, specmurt
-from test_kam import brute_force_knn
+from conftest import neighbor_lists, search_one
+from test_kam import brute_force_knn, median
+
+from sikam import kam, shiftkam
 
 
 def brute_force_shift_knn(mag, target, candidates, k, delta):
@@ -80,8 +82,7 @@ def assert_search_matches_oracle(mag, k, delta, targets=None):
     targets = range(n_frames) if targets is None else targets
     expected = [per_shift_oracle(mag, t, range(n_frames), k, delta) for t in targets]
     for t, want in zip(targets, expected):
-        got = shiftkam.knn_shift_exhaustive(mag, t, range(n_frames), k, delta)
-        assert list(got.neighbors) == want, (t, k, delta)
+        assert search_one(mag, t, "shift_exhaustive", k, delta) == want, (t, k, delta)
     # the batched search with every target inside the candidate set
     frames, shifts = shiftkam._exhaustive_search(
         mag, list(targets), np.arange(n_frames), k, delta
@@ -133,10 +134,12 @@ class TestShiftFrame:
 
 
 class TestKnnShiftExhaustive:
+    """The exhaustive search of one target, every other frame a candidate."""
+
     def test_matches_brute_force_oracle(self, rng):
         mag = rng.random((48, 30))
-        nset = shiftkam.knn_shift_exhaustive(mag, 5, range(30), 8, 10)
-        assert list(nset.neighbors) == brute_force_shift_knn(mag, 5, range(30), 8, 10)
+        got = search_one(mag, 5, "shift_exhaustive", 8, 10)
+        assert got == brute_force_shift_knn(mag, 5, range(30), 8, 10)
 
     def test_oracle_over_random_instances(self, rng):
         for _ in range(10):
@@ -146,17 +149,15 @@ class TestKnnShiftExhaustive:
             k = int(rng.integers(1, t - 1))
             target = int(rng.integers(0, t))
             mag = rng.random((f, t))
-            nset = shiftkam.knn_shift_exhaustive(mag, target, range(t), k, delta)
-            assert list(nset.neighbors) == brute_force_shift_knn(
-                mag, target, range(t), k, delta
-            )
+            got = search_one(mag, target, "shift_exhaustive", k, delta)
+            assert got == brute_force_shift_knn(mag, target, range(t), k, delta)
 
     def test_identical_copies_selected_with_zero_shift(self, rng):
         col = rng.random(32)
         mag = np.tile(col[:, None], (1, 6))
-        nset = shiftkam.knn_shift_exhaustive(mag, 0, range(6), 5, 12)
-        assert all(s == 0 for _, s in nset.neighbors)
-        assert sorted(f for f, _ in nset.neighbors) == [1, 2, 3, 4, 5]
+        got = search_one(mag, 0, "shift_exhaustive", 5, 12)
+        assert all(s == 0 for _, s in got)
+        assert sorted(f for f, _ in got) == [1, 2, 3, 4, 5]
 
     def test_translated_copy_found_with_aligning_shift(self, rng):
         f = 64
@@ -166,35 +167,34 @@ class TestKnnShiftExhaustive:
         mag[:, 2] = base
         # candidate 4 holds the same pattern 5 bins higher
         mag[:, 4] = np.roll(base, 5)
-        nset = shiftkam.knn_shift_exhaustive(mag, 2, range(5), 1, 12)
-        frame, shift = nset.neighbors[0]
+        ((frame, shift),) = search_one(mag, 2, "shift_exhaustive", 1, 12)
         assert frame == 4 and shift == 5
 
     def test_delta_zero_reduces_to_baseline(self, rng):
         for _ in range(10):
             mag = rng.random((12, 15))
             target = int(rng.integers(0, 15))
-            b = shiftkam.knn_shift_exhaustive(mag, target, range(15), 6, 0)
-            assert list(b.neighbors) == brute_force_knn(mag, target, range(15), 6)
+            got = search_one(mag, target, "shift_exhaustive", 6, 0)
+            assert got == brute_force_knn(mag, target, range(15), 6)
 
     @given(arrays(np.float64, (10, 12), elements=st.floats(0, 5, allow_nan=False)))
     def test_delta_zero_reduction_property(self, mag):
-        b = shiftkam.knn_shift_exhaustive(mag, 3, range(12), 4, 0)
-        assert list(b.neighbors) == brute_force_knn(mag, 3, range(12), 4)
+        got = search_one(mag, 3, "shift_exhaustive", 4, 0)
+        assert got == brute_force_knn(mag, 3, range(12), 4)
 
     def test_kth_distance_monotone_in_delta(self, rng):
         mag = rng.random((40, 20))
         target = 7
 
         def kth_distance(delta):
-            nset = shiftkam.knn_shift_exhaustive(mag, target, range(20), 5, delta)
+            neighbors = search_one(mag, target, "shift_exhaustive", 5, delta)
             dists = [
                 float(
                     np.sum(
                         (shiftkam.shift_frame(mag[:, f], s) - mag[:, target]) ** 2
                     )
                 )
-                for f, s in nset.neighbors
+                for f, s in neighbors
             ]
             return max(dists)
 
@@ -207,22 +207,20 @@ class TestKnnShiftExhaustive:
     def test_pool_too_small_rejected(self, rng):
         mag = rng.random((8, 4))
         with pytest.raises(kam.KernelError):
-            shiftkam.knn_shift_exhaustive(mag, 0, range(4), 4, 2)
+            search_one(mag, 0, "shift_exhaustive", 4, 2)
 
     @pytest.mark.parametrize(
-        "target, candidates, k, delta",
+        "target, k, delta",
         [
-            pytest.param(3, range(20), -1, 2, id="negative-k"),
-            pytest.param(3, range(20), 4, -1, id="negative-delta"),
-            pytest.param(-1, range(20), 4, 2, id="target-before-first-frame"),
-            pytest.param(20, range(20), 4, 2, id="target-past-last-frame"),
-            pytest.param(3, [-1, *range(4, 10)], 4, 2, id="candidate-before-first-frame"),
-            pytest.param(3, [*range(4, 10), 20], 4, 2, id="candidate-past-last-frame"),
+            pytest.param(3, -1, 2, id="negative-k"),
+            pytest.param(3, 4, -1, id="negative-delta"),
+            pytest.param(-1, 4, 2, id="target-before-first-frame"),
+            pytest.param(20, 4, 2, id="target-past-last-frame"),
         ],
     )
-    def test_bad_input_rejected(self, rng, target, candidates, k, delta):
+    def test_bad_input_rejected(self, rng, target, k, delta):
         with pytest.raises(kam.KernelError):
-            shiftkam.knn_shift_exhaustive(rng.random((16, 20)), target, candidates, k, delta)
+            search_one(rng.random((16, 20)), target, "shift_exhaustive", k, delta)
 
 
 class TestExhaustiveEngine:
@@ -277,35 +275,29 @@ class TestExhaustiveEngine:
     def test_target_inside_and_outside_the_candidates(self, rng):
         mag = rng.random((20, 12))
         for target in (0, 5, 11):
-            inside = shiftkam.knn_shift_exhaustive(mag, target, range(12), 4, 6)
-            outside = shiftkam.knn_shift_exhaustive(
-                mag, target, [c for c in range(12) if c != target], 4, 6
+            inside = shiftkam._exhaustive_search(mag, [target], np.arange(12), 4, 6)
+            outside = shiftkam._exhaustive_search(
+                mag, [target], np.setdiff1d(np.arange(12), target), 4, 6
             )
-            assert inside == outside
-            assert target not in inside.frames
+            np.testing.assert_array_equal(inside, outside)
+            assert target not in inside[0]
         # a target outside a smaller candidate set
         frames, shifts = shiftkam._exhaustive_search(mag, [0, 11], np.arange(1, 11), 10, 6)
         for target, f, s in zip([0, 11], frames.tolist(), shifts.tolist()):
             assert list(zip(f, s)) == per_shift_oracle(mag, target, range(1, 11), 10, 6)
 
-    def test_k_zero_returns_no_neighbors(self, rng):
-        mag = rng.random((16, 9))
-        assert shiftkam.knn_shift_exhaustive(mag, 4, range(9), 0, 5).neighbors == ()
-        assert len(specmurt.knn_specmurt(mag, 4, range(9), 0)) == 0
-        assert specmurt.knn_specmurt_pruned(mag, 4, range(9), 0, 3, 5).neighbors == ()
-
     def test_k_equal_to_pool_returns_every_frame(self, rng):
         mag = rng.random((16, 9))
-        nset = shiftkam.knn_shift_exhaustive(mag, 4, range(9), 8, 5)
-        assert sorted(nset.frames) == [0, 1, 2, 3, 5, 6, 7, 8]
-        assert list(nset.neighbors) == per_shift_oracle(mag, 4, range(9), 8, 5)
+        got = search_one(mag, 4, "shift_exhaustive", 8, 5)
+        assert sorted(f for f, _ in got) == [0, 1, 2, 3, 5, 6, 7, 8]
+        assert got == per_shift_oracle(mag, 4, range(9), 8, 5)
 
     def test_delta_beyond_bins_rejected(self, rng):
         mag = rng.random((8, 6))
-        nset = shiftkam.knn_shift_exhaustive(mag, 0, range(6), 3, 8)
-        assert list(nset.neighbors) == per_shift_oracle(mag, 0, range(6), 3, 8)
+        got = search_one(mag, 0, "shift_exhaustive", 3, 8)
+        assert got == per_shift_oracle(mag, 0, range(6), 3, 8)
         with pytest.raises(kam.KernelError, match="exceeds the 8 frequency bins"):
-            shiftkam.knn_shift_exhaustive(mag, 0, range(6), 3, 9)
+            search_one(mag, 0, "shift_exhaustive", 3, 9)
         config = kam.SeparationConfig(k=3, delta=9, variant="shift_exhaustive", support={2})
         with pytest.raises(kam.KernelError):
             kam.plan_neighbors(mag, config)
@@ -316,11 +308,12 @@ class TestExhaustiveEngine:
         candidates = [c for c in range(60) if c not in support]
         for variant, delta in (("baseline", 0), ("shift_exhaustive", 12)):
             config = kam.SeparationConfig(k=15, delta=12, variant=variant, support=support)
-            plans = kam.plan_neighbors(mag, config)
+            plans = neighbor_lists(kam.plan_neighbors(mag, config))
             assert sorted(plans) == sorted(support)
-            for t, nset in plans.items():
-                assert nset == shiftkam.knn_shift_exhaustive(mag, t, candidates, 15, delta)
-                assert list(nset.neighbors) == per_shift_oracle(mag, t, candidates, 15, delta)
+            for t, got in plans.items():
+                frames, shifts = shiftkam._exhaustive_search(mag, [t], candidates, 15, delta)
+                assert got == list(zip(frames[0].tolist(), shifts[0].tolist()))
+                assert got == per_shift_oracle(mag, t, candidates, 15, delta)
 
 
 class TestMedianEstimateShifted:
@@ -334,18 +327,12 @@ class TestMedianEstimateShifted:
         for i, d in enumerate(shifts, start=1):
             # neighbor transposed up by d reads back with shift +d
             mag[:, i] = np.roll(clean, d)
-        nset = kam.NeighborSet(
-            target=0, neighbors=tuple((i, d) for i, d in enumerate(shifts, start=1))
-        )
-        est = kam.median_estimate(mag, nset)
+        est = median(mag, list(enumerate(shifts, start=1)))
         np.testing.assert_allclose(est[8:36], clean[8:36], atol=1e-12)
 
     def test_single_neighbor_is_shifted_column(self, rng):
         mag = rng.random((16, 3))
-        nset = kam.NeighborSet(target=0, neighbors=((2, 2),))
-        np.testing.assert_array_equal(
-            kam.median_estimate(mag, nset), shiftkam.shift_frame(mag[:, 2], 2)
-        )
+        np.testing.assert_array_equal(median(mag, [(2, 2)]), shiftkam.shift_frame(mag[:, 2], 2))
 
 
 class TestTranspositionDiscovery:
@@ -357,11 +344,8 @@ class TestTranspositionDiscovery:
         noisy = mag.copy()
         noisy[:, target] += rng.random(mag.shape[0]) * 0.1 * mag[:, target].max()
         k = 10
-        nset = shiftkam.knn_shift_exhaustive(
-            noisy, target, range(mag.shape[1]), k, 48
-        )
         good = 0
-        for frame, shift in nset.neighbors:
+        for frame, shift in search_one(noisy, target, "shift_exhaustive", k, 48):
             d = frame - center  # neighbor transposed up by d bins
             if abs(shift - d) <= 1:
                 good += 1

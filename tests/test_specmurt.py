@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import neighbor_lists, search_one
+
 from sikam import kam, shiftkam, specmurt
 from sikam.shiftkam import shift_frame
 
@@ -25,6 +27,17 @@ def comb_column(f, base, n_partials=6):
     positions = [base + 24 * np.log2(m) for m in range(1, n_partials + 1)]
     positions = [p for p in positions if p < f - 4]
     return harmonic_column(f, positions)
+
+
+def specmurt_pool(mag, target, count):
+    """The ``count`` frames closest to the target in the specmurt domain.
+
+    Closest first: the pool search of the specmurt variants, every other
+    frame a candidate.
+    """
+    cands = np.setdiff1d(np.arange(mag.shape[1]), target)
+    spec = specmurt.specmurt_matrix(mag)
+    return shiftkam._exhaustive_search(spec, [target], cands, count, 0)[0][0]
 
 
 def specmurt_column(col):
@@ -89,11 +102,13 @@ class TestSpecmurtTransform:
 
 
 class TestKnnSpecmurt:
+    """The specmurt-domain pool of one target."""
+
     def test_matches_brute_force(self, rng):
         mag = rng.random((32, 20))
         spec = specmurt.specmurt_matrix(mag)
         target = 4
-        got = specmurt.knn_specmurt(mag, target, range(20), 6)
+        got = specmurt_pool(mag, target, 6)
         dists = sorted(
             (float(np.sum((spec[:, c] - spec[:, target]) ** 2)), c)
             for c in range(20)
@@ -107,7 +122,7 @@ class TestKnnSpecmurt:
         cols = [np.roll(base, d) for d in (-8, 0, 5, 11)]
         cols += [rng.random(f) for _ in range(4)]
         mag = np.stack(cols, axis=1)
-        got = specmurt.knn_specmurt(mag, 1, range(8), 3)
+        got = specmurt_pool(mag, 1, 3)
         assert set(got) == {0, 2, 3}
 
     def test_tone_beats_noise(self, rng):
@@ -116,27 +131,25 @@ class TestKnnSpecmurt:
         transposed = np.roll(tone, 9)
         noise = rng.random(f) * tone.max()
         mag = np.stack([tone, transposed, noise], axis=1)
-        got = specmurt.knn_specmurt(mag, 0, range(3), 1)
+        got = specmurt_pool(mag, 0, 1)
         assert list(got) == [1]
 
     def test_pool_too_small(self, rng):
         mag = rng.random((16, 4))
         with pytest.raises(kam.KernelError):
-            specmurt.knn_specmurt(mag, 0, range(4), 4)
+            search_one(mag, 0, "specmurt", 4)
 
     @pytest.mark.parametrize(
-        "target, candidates, count",
+        "target, count",
         [
-            pytest.param(3, range(20), -1, id="negative-count"),
-            pytest.param(-1, range(20), 4, id="target-before-first-frame"),
-            pytest.param(20, range(20), 4, id="target-past-last-frame"),
-            pytest.param(3, [-1, *range(4, 10)], 4, id="candidate-before-first-frame"),
-            pytest.param(3, [*range(4, 10), 20], 4, id="candidate-past-last-frame"),
+            pytest.param(3, -1, id="negative-count"),
+            pytest.param(-1, 4, id="target-before-first-frame"),
+            pytest.param(20, 4, id="target-past-last-frame"),
         ],
     )
-    def test_bad_input_rejected(self, rng, target, candidates, count):
+    def test_bad_input_rejected(self, rng, target, count):
         with pytest.raises(kam.KernelError):
-            specmurt.knn_specmurt(rng.random((16, 20)), target, candidates, count)
+            search_one(rng.random((16, 20)), target, "specmurt", count)
 
 
 class TestEstimateShiftDeconv:
@@ -210,9 +223,9 @@ class TestEstimateShiftDeconv:
             specmurt.estimate_shift_deconv(np.zeros(16), np.ones(16))
 
 
-def pruned_oracle(mag, target, candidates, k, surplus, max_shift):
+def pruned_oracle(mag, target, k, surplus, max_shift):
     """The pruned search one pool frame at a time, as a reference."""
-    pool = specmurt.knn_specmurt(mag, target, candidates, k + surplus)
+    pool = specmurt_pool(mag, target, k + surplus)
     y = mag[:, target]
     entries = []
     for frame in pool:
@@ -225,10 +238,12 @@ def pruned_oracle(mag, target, candidates, k, surplus, max_shift):
         diff = shift_frame(z, d) - y
         entries.append((float(np.dot(diff, diff)), int(frame), d))
     entries.sort()
-    return tuple((frame, d) for _, frame, d in entries[:k])
+    return [(frame, d) for _, frame, d in entries[:k]]
 
 
 class TestKnnSpecmurtPruned:
+    """The pruned specmurt search of one target, every other frame a candidate."""
+
     # An all-zero column must not reach the deconvolution (0/0 warnings).
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_per_frame_oracle(self, rng):
@@ -242,17 +257,16 @@ class TestKnnSpecmurtPruned:
             surplus = int(rng.integers(0, t - k))
             max_shift = int(rng.integers(0, f))
             for target in range(t):
-                got = specmurt.knn_specmurt_pruned(mag, target, range(t), k, surplus, max_shift)
-                want = pruned_oracle(mag, target, range(t), k, surplus, max_shift)
-                assert got.neighbors == want
+                got = search_one(mag, target, "specmurt_pruned", k, max_shift, surplus)
+                assert got == pruned_oracle(mag, target, k, surplus, max_shift)
                 checked += 1
         assert checked > 300
 
     def test_zero_surplus_keeps_specmurt_selection(self, rng):
         mag = rng.random((64, 24))
-        pre = specmurt.knn_specmurt(mag, 3, range(24), 5)
-        nset = specmurt.knn_specmurt_pruned(mag, 3, range(24), 5, 0, 20)
-        assert sorted(f for f, _ in nset.neighbors) == sorted(pre)
+        pre = specmurt_pool(mag, 3, 5)
+        got = search_one(mag, 3, "specmurt_pruned", 5, 20, 0)
+        assert sorted(f for f, _ in got) == sorted(pre)
 
     def test_transposed_copies_beat_distractors(self, rng):
         f = 96
@@ -267,24 +281,24 @@ class TestKnnSpecmurtPruned:
             cols.append(rng.random(f) * base.max())
         mag = np.stack(cols + [base], axis=1)
         target = mag.shape[1] - 1
-        nset = specmurt.knn_specmurt_pruned(mag, target, range(target), 3, 6, 48)
-        assert sorted(f_ for f_, _ in nset.neighbors) == [0, 1, 2]
-        for frame, shift in nset.neighbors:
+        got = search_one(mag, target, "specmurt_pruned", 3, 48, 6)
+        assert sorted(f_ for f_, _ in got) == [0, 1, 2]
+        for frame, shift in got:
             assert abs(shift - true_shifts[frame]) <= 1
 
     def test_kept_distances_dominate_discarded(self, rng):
         mag = rng.random((48, 30))
         target = 11
         k, surplus, max_shift = 4, 8, 24
-        nset = specmurt.knn_specmurt_pruned(mag, target, range(30), k, surplus, max_shift)
-        pool = specmurt.knn_specmurt(mag, target, range(30), k + surplus)
+        got = search_one(mag, target, "specmurt_pruned", k, max_shift, surplus)
+        pool = specmurt_pool(mag, target, k + surplus)
 
         def step3_distance(frame):
             est = specmurt.estimate_shift_deconv(mag[:, target], mag[:, frame])
             d = int(np.clip(est.delta, -max_shift, max_shift))
             return float(np.sum((shift_frame(mag[:, frame], d) - mag[:, target]) ** 2))
 
-        kept = {f_ for f_, _ in nset.neighbors}
+        kept = {f_ for f_, _ in got}
         kept_max = max(step3_distance(f_) for f_ in kept)
         discarded = [int(f_) for f_ in pool if int(f_) not in kept]
         assert len(discarded) == surplus
@@ -293,7 +307,7 @@ class TestKnnSpecmurtPruned:
 
     def test_pool_too_small(self, rng):
         with pytest.raises(kam.KernelError):
-            specmurt.knn_specmurt_pruned(rng.random((16, 8)), 0, range(8), 4, 4, 2)
+            search_one(rng.random((16, 8)), 0, "specmurt_pruned", 4, 2, 4)
 
     @pytest.mark.parametrize("max_shift", [0, 1, 9, 24], ids=lambda d: f"max-shift-{d}")
     def test_padded_window_distances_match_shift_frame(self, rng, max_shift):
@@ -315,29 +329,27 @@ class TestKnnSpecmurtPruned:
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize(
-        "target, candidates, k, surplus, max_shift",
+        "target, k, surplus, max_shift",
         [
-            pytest.param(3, range(20), -1, 3, 2, id="negative-k"),
-            pytest.param(3, range(20), 4, -1, 2, id="negative-surplus"),
-            pytest.param(3, range(20), 4, 2, -3, id="negative-max-shift"),
-            pytest.param(3, range(20), 4, 2, 17, id="max-shift-above-bins"),
-            pytest.param(-1, range(20), 4, 2, 2, id="target-before-first-frame"),
-            pytest.param(20, range(20), 4, 2, 2, id="target-past-last-frame"),
-            pytest.param(3, [-1, *range(4, 10)], 4, 2, 2, id="candidate-before-first-frame"),
-            pytest.param(3, [*range(4, 10), 20], 4, 2, 2, id="candidate-past-last-frame"),
+            pytest.param(3, -1, 3, 2, id="negative-k"),
+            pytest.param(3, 4, -1, 2, id="negative-surplus"),
+            pytest.param(3, 4, 2, -3, id="negative-max-shift"),
+            pytest.param(3, 4, 2, 17, id="max-shift-above-bins"),
+            pytest.param(-1, 4, 2, 2, id="target-before-first-frame"),
+            pytest.param(20, 4, 2, 2, id="target-past-last-frame"),
         ],
     )
-    def test_bad_input_rejected(self, rng, target, candidates, k, surplus, max_shift):
+    def test_bad_input_rejected(self, rng, target, k, surplus, max_shift):
         mag = rng.random((16, 20))
         with pytest.raises(kam.KernelError):
-            specmurt.knn_specmurt_pruned(mag, target, candidates, k, surplus, max_shift)
+            search_one(mag, target, "specmurt_pruned", k, max_shift, surplus)
 
 
 def reference_specmurt_plans(mag, support, k, surplus, max_shift):
     """The specmurt searches one target at a time, with the per-target code
-    the batched search replaced: the distances of ``knn_specmurt``, the
-    deconvolution of each pool against its target and the re-rank. Returns
-    the plans and the number of shifts the clamp cut."""
+    the batched search replaced: the specmurt-domain distances of the pool,
+    the deconvolution of each pool against its target and the re-rank.
+    Returns the plans and the number of shifts the clamp cut."""
     spec = specmurt.specmurt_matrix(mag)
     n = mag.shape[0]
     cands = np.setdiff1d(np.arange(mag.shape[1]), support)
@@ -360,7 +372,7 @@ def reference_specmurt_plans(mag, support, k, surplus, max_shift):
         rows = np.ascontiguousarray((shift_frame(cols, shifts) - y[:, None]).T)
         dists = np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
         order = np.lexsort((shifts, pool, dists))[:k]
-        plans[t] = tuple((int(pool[i]), int(shifts[i])) for i in order)
+        plans[t] = [(int(pool[i]), int(shifts[i])) for i in order]
     return plans, clamped
 
 
@@ -374,8 +386,7 @@ class TestPlanMatchesPerTargetReference:
             k=k, delta=max_shift, surplus=surplus, variant=variant, support=support
         )
         want, clamped = reference_specmurt_plans(mag, sorted(support), k, surplus, max_shift)
-        got = kam.plan_neighbors(mag, config)
-        assert {t: nset.neighbors for t, nset in got.items()} == want
+        assert neighbor_lists(kam.plan_neighbors(mag, config)) == want
         return clamped
 
     def random_case(self, rng, make_matrix):
