@@ -184,9 +184,7 @@ def cmd_separate(args) -> int:
     for ch in range(channels.shape[1]):
         t0 = time.perf_counter()
         spect, spects[ch] = spects[ch], None
-        masked = spect.with_data(
-            spect.data * separation_masks(np.abs(spect.data), config, plan=plan)
-        )
+        masked = spect.with_data(spect.data * separation_masks(np.abs(spect.data), plan))
         t1 = time.perf_counter()
         source[:, ch] = inverse_logfreq(masked)
         del spect, masked

@@ -7,8 +7,8 @@ soft mask on the complex spectrogram. The kernels differ only in how they
 pick the (frame, shift) neighbors: the baseline and the exhaustive search
 (:mod:`sikam.shiftkam`, the baseline being its zero-shift case) and the
 specmurt searches (:mod:`sikam.specmurt`); estimation and masking are shared.
-:func:`plan_neighbors` is the one entry point of the searches and the one
-gate of their input.
+:func:`plan_neighbors` is the one entry point of the searches; it and
+:func:`separation_masks` share the one check of a magnitude matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import shiftkam, specmurt
-from .shiftkam import KernelError, _as_matrix, shift_frame
+from .shiftkam import KernelError, shift_frame
 from .timefreq import ComplexSpectrogram
 
 VARIANTS = ("baseline", "shift_exhaustive", "specmurt", "specmurt_pruned")
@@ -61,6 +61,14 @@ class SeparationConfig:
             raise KernelError("surplus must be >= 0")
         if self.variant not in VARIANTS:
             raise KernelError(f"unknown variant {self.variant!r}")
+
+
+def _magnitudes(mag) -> np.ndarray:
+    """``mag`` as an array, if it is a 2-D matrix of finite nonnegative entries."""
+    data = np.asarray(mag)
+    if data.ndim != 2 or not np.all((data >= 0) & (data < np.inf)):
+        raise KernelError("magnitudes must be a finite nonnegative 2-D matrix")
+    return data
 
 
 def _medians(data: np.ndarray, frames: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -121,13 +129,16 @@ class Plan:
 def plan_neighbors(mag, config: SeparationConfig) -> Plan:
     """Neighbors of every support frame under the configured variant.
 
-    Candidates are all frames outside the support. Raises
-    :class:`KernelError` for a support frame outside ``[0, T)``, when the
-    pool cannot supply k (plus surplus for the pruned variant) candidates,
-    or when ``config.delta`` exceeds the number of frequency bins.
+    Candidates are all frames outside the support. Before any search runs,
+    raises :class:`KernelError` for a ``mag`` that is not 2-D or holds a NaN,
+    an infinite or a negative entry, a specmurt variant on fewer than 2 bins,
+    a ``config.delta`` above the bin count, a support frame outside ``[0, T)``
+    and a pool short of k (plus surplus for the pruned variant) candidates.
     """
-    data = _as_matrix(mag)
+    data = _magnitudes(mag)
     n_bins, n_frames = data.shape
+    if n_bins < 2 and config.variant.startswith("specmurt"):
+        raise KernelError(f"specmurt needs at least 2 frequency bins, got {n_bins}")
     if config.delta > n_bins:
         raise KernelError(f"delta={config.delta} exceeds the {n_bins} frequency bins")
     support = np.array(sorted(config.support), dtype=int)
@@ -152,15 +163,15 @@ def plan_neighbors(mag, config: SeparationConfig) -> Plan:
     return Plan(support, frames, shifts)
 
 
-def separation_masks(mag, config: SeparationConfig, plan: Plan | None = None) -> np.ndarray:
+def separation_masks(mag, plan: Plan) -> np.ndarray:
     """Soft mask matrix for the source of interest: ones outside the support.
 
-    The medians are taken one target at a time, so that no (F, n, K) stack
-    of every target's neighbors is ever held.
+    ``plan`` comes from :func:`plan_neighbors` on ``mag`` or on a matrix of
+    its shape (the CLI plans all channels once), and ``mag`` is checked as
+    there. The medians are taken one target at a time, so that no (F, n, K)
+    stack of every target's neighbors is ever held.
     """
-    data = _as_matrix(mag)
-    if plan is None:
-        plan = plan_neighbors(data, config)
+    data = _magnitudes(mag)
     est = np.empty((data.shape[0], len(plan)))
     for i, (frames, shifts) in enumerate(zip(plan.frames, plan.shifts)):
         est[:, i] = _medians(data, frames[None], shifts[None])[:, 0]
@@ -176,10 +187,11 @@ def separate(
 
     Support frames get the variant's median estimate turned into a soft mask;
     all other frames pass through unchanged into the source. The two outputs
-    use complementary masks, so they sum to the input exactly.
+    use complementary masks, so they sum to the input exactly. Raises
+    :class:`KernelError` as :func:`plan_neighbors` does.
     """
     mag = np.abs(spect.data)
-    mask = separation_masks(mag, config)
+    mask = separation_masks(mag, plan_neighbors(mag, config))
     source = spect.with_data(spect.data * mask)
     interference = spect.with_data(spect.data * (1.0 - mask))
     return source, interference

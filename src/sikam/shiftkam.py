@@ -13,7 +13,8 @@ sets are those of an exact per-shift comparison.
 
 This module imports nothing from :mod:`sikam`: it owns the search contract
 (:class:`KernelError`, the shift primitive and this engine) that the other
-kernels import. :func:`sikam.kam.plan_neighbors` gates the engine's input.
+kernels import. The engine checks no input: :func:`sikam.kam.plan_neighbors`
+does, before any search runs.
 """
 
 from __future__ import annotations
@@ -23,13 +24,6 @@ import numpy as np
 
 class KernelError(ValueError):
     """Raised for invalid kernel inputs (for example a candidate pool < K)."""
-
-
-def _as_matrix(mag) -> np.ndarray:
-    data = np.asarray(mag)
-    if data.ndim != 2:
-        raise KernelError("magnitude input must be a 2-D matrix")
-    return data
 
 
 def _top_k(

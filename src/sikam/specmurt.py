@@ -12,8 +12,8 @@ All targets are searched together: their pools are the baseline search of
 half-spectrum of every pooled frame is taken once and shared by all
 deconvolutions, as is one zero-padded copy of the pooled frames that the
 re-rank reads its shifted columns from. :func:`estimate_shift_deconv` is the
-one-column case of the deconvolution; :func:`sikam.kam.plan_neighbors` gates
-the search's input.
+one-column case of the deconvolution. The search and :func:`specmurt_matrix`
+check no input: :func:`sikam.kam.plan_neighbors` does, before any search runs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from .shiftkam import (
     KernelError,
-    _as_matrix,
     _exhaustive_search,
     _shift_windows,
     _top_k,
@@ -48,18 +47,14 @@ class ShiftEstimate:
 
 
 def specmurt_matrix(mag) -> np.ndarray:
-    """Specmurt coefficients of every nonnegative column, shape (F // 2, T).
+    """Specmurt coefficients of every column of an (F, T) matrix, shape (F // 2, T).
 
     Column t holds the moduli of the DFT of magnitude frame t from index 1
     up to the half length: index 0, the DC term, is dropped, and real-input
-    symmetry makes the rest redundant. Needs at least 2 frequency bins.
+    symmetry makes the rest redundant. The plain transform: the input is
+    not checked, and a 1-bin matrix gives no rows.
     """
-    data = _as_matrix(mag)
-    if np.any(data < 0):
-        raise KernelError("magnitudes must be nonnegative")
-    if data.shape[0] < 2:
-        raise KernelError(f"specmurt needs at least 2 frequency bins, got {data.shape[0]}")
-    return np.abs(np.fft.rfft(data, axis=0))[1:]
+    return np.abs(np.fft.rfft(mag, axis=0))[1:]
 
 
 def _inverse_spectra(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

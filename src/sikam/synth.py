@@ -182,8 +182,6 @@ def interference_clip(
             pos += int(gap * sample_rate)
             gap *= 0.62
             amp *= 0.7
-    else:
-        raise SynthError(f"unknown interference kind {kind!r}")
     rms = float(np.sqrt(np.mean(x**2)))
     if rms == 0:
         raise SynthError("degenerate interference clip")

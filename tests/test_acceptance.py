@@ -316,7 +316,8 @@ def test_criterion_9_masks_and_complementarity():
                 ),
                 pool,
             )
-            mask = kam.separation_masks(np.abs(spect.data), cfg)
+            mag = np.abs(spect.data)
+            mask = kam.separation_masks(mag, kam.plan_neighbors(mag, cfg))
             if mask.min() < 0.0 or mask.max() > 1.0:
                 mask_ok = False
             source, interference = kam.separate(spect, cfg)
@@ -328,7 +329,8 @@ def test_criterion_9_masks_and_complementarity():
         spect = forward_logfreq(x, SMALL_PARAMS)
         cfg = SeparationConfig(k=8, delta=6, variant="shift_exhaustive",
                                support=frozenset(range(10, 16)))
-        mask = kam.separation_masks(np.abs(spect.data), cfg)
+        mag = np.abs(spect.data)
+        mask = kam.separation_masks(mag, kam.plan_neighbors(mag, cfg))
         mask_ok = mask_ok and mask.min() >= 0.0 and mask.max() <= 1.0
         source, interference = kam.separate(spect, cfg)
         resid = np.abs(source.data + interference.data - spect.data).max()

@@ -259,6 +259,31 @@ class TestSeparate:
             kam.plan_neighbors(mag, config)
         assert kam.plan_neighbors(mag, replace(config, delta=8)).frames.shape == (1, 3)
 
+    @pytest.mark.parametrize(
+        "variant", ["baseline", "shift_exhaustive", "specmurt", "specmurt_pruned"]
+    )
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((3, 7), np.nan), ((5, 20), np.inf), ((9, 30), -1e-3), (None, None)],
+        ids=["nan_candidate", "inf_support", "negative", "one_dim"],
+    )
+    def test_bad_magnitudes_rejected_by_every_variant(self, rng, variant, entry, value):
+        mag = rng.random((16, 40))
+        config = kam.SeparationConfig(
+            k=5, delta=2, surplus=5, variant=variant, support={20, 21}
+        )
+        plan = kam.plan_neighbors(mag, config)
+        bad = mag.copy()
+        if entry is None:
+            bad = bad[:, 0]
+        else:
+            bad[entry] = value
+        gate = "magnitudes must be a finite nonnegative 2-D matrix"
+        with pytest.raises(kam.KernelError, match=gate):
+            kam.plan_neighbors(bad, config)
+        with pytest.raises(kam.KernelError, match=gate):
+            kam.separation_masks(bad, plan)
+
 
 class TestSeparationConfig:
     def test_surplus_defaults_to_twice_k(self):

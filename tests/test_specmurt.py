@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -93,12 +95,22 @@ class TestSpecmurtTransform:
         assert rel < 0.1
 
     def test_fewer_than_two_bins_rejected(self):
-        with pytest.raises(kam.KernelError, match="at least 2 frequency bins"):
-            specmurt_column(np.ones(1))
+        mag = np.ones((1, 12))
+        config = kam.SeparationConfig(k=3, delta=1, surplus=3, support={5})
+        for variant in ("specmurt", "specmurt_pruned"):
+            with pytest.raises(kam.KernelError, match="at least 2 frequency bins"):
+                kam.plan_neighbors(mag, replace(config, variant=variant))
+        for variant in ("baseline", "shift_exhaustive"):
+            plan = kam.plan_neighbors(mag, replace(config, variant=variant))
+            assert plan.frames.shape == (1, 3)
 
     def test_negative_column_rejected(self):
-        with pytest.raises(kam.KernelError):
-            specmurt_column(-np.ones(8))
+        mag = np.ones((8, 12))
+        mag[:, 2] = -1.0
+        config = kam.SeparationConfig(k=3, delta=1, surplus=3, support={5})
+        for variant in ("specmurt", "specmurt_pruned"):
+            with pytest.raises(kam.KernelError, match="nonnegative"):
+                kam.plan_neighbors(mag, replace(config, variant=variant))
 
 
 class TestKnnSpecmurt:
