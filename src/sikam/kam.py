@@ -64,10 +64,18 @@ class SeparationConfig:
 
 
 def _magnitudes(mag) -> np.ndarray:
-    """``mag`` as an array, if it is a 2-D matrix of finite nonnegative entries."""
+    """``mag`` as an array, if it is a 2-D matrix of finite nonnegative reals.
+
+    Complex, string and object arrays are rejected before any comparison, so
+    the search never plans on a real part or fails inside numpy.
+    """
     data = np.asarray(mag)
-    if data.ndim != 2 or not np.all((data >= 0) & (data < np.inf)):
-        raise KernelError("magnitudes must be a finite nonnegative 2-D matrix")
+    if (
+        data.dtype.kind not in "biuf"
+        or data.ndim != 2
+        or not np.all((data >= 0) & (data < np.inf))
+    ):
+        raise KernelError("magnitudes must be a finite nonnegative 2-D matrix of reals")
     return data
 
 

@@ -3,7 +3,10 @@
 Provides deterministic stand-ins for real recordings: harmonic notes and
 chords rendered with a handful of timbres, plus four short synthetic
 interference sounds (a filtered noise burst, a low-frequency thump, a
-broadband scrape and a bouncing impulse train).
+broadband scrape and a bouncing impulse train). The clips' Butterworth
+filters are designed and applied here, in numpy and plain Python, with the
+arithmetic of scipy's ``butter`` and ``lfilter``; building a scene imports
+nothing from scipy.
 """
 
 from __future__ import annotations
@@ -129,6 +132,81 @@ def render_events(
 INTERFERENCE_KINDS = ("cough", "door_slam", "chair_drag", "drop")
 
 
+def _poly(roots: np.ndarray) -> np.ndarray:
+    """Real coefficients of the monic polynomial with ``roots`` (conjugate pairs)."""
+    coeffs = np.ones(1, dtype=roots.dtype)
+    for root in roots:
+        coeffs = np.convolve(coeffs, np.array([1.0, -root], dtype=roots.dtype))
+    return coeffs.real
+
+
+def _butter(order: int, edges_hz, sample_rate: float):
+    """Digital Butterworth low-pass (one edge) or band-pass (two edges) as (b, a).
+
+    The steps and their order of operations are those of scipy's ``butter``:
+    the analog prototype's poles, the prewarp ``4 tan(pi Wn / 2)`` of the
+    edges ``Wn`` in units of Nyquist, the low-pass or band-pass transform of
+    the zeros, poles and gain, the bilinear transform with fs = 2, and the
+    expansion into polynomials; ``a[0]`` is 1. Raises :class:`SynthError`
+    for an edge at or above the Nyquist frequency, or a lower band edge not
+    below the upper one.
+    """
+    nyq = sample_rate / 2.0
+    edges = np.atleast_1d(np.asarray(edges_hz, dtype=np.float64))
+    if edges.max() >= nyq:
+        raise SynthError(
+            f"filter edge {edges.max():g} Hz is at or above the Nyquist "
+            f"frequency {nyq:g} Hz"
+        )
+    if len(edges) == 2 and edges[0] >= edges[1]:
+        raise SynthError(
+            f"lower band edge {edges[0]:g} Hz is not below the upper edge "
+            f"{edges[1]:g} Hz (Nyquist frequency {nyq:g} Hz)"
+        )
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    z = np.zeros(0)
+    p = -np.exp(1j * np.pi * m / (2 * order))
+    k = 1.0
+    warped = 2 * 2.0 * np.tan(np.pi * (edges / nyq) / 2.0)
+    if len(edges) == 1:
+        wo = float(warped[0])
+        p = wo * p
+        k = k * wo**order
+    else:
+        bw = float(warped[1] - warped[0])
+        wo = float(np.sqrt(warped[0] * warped[1]))
+        p_lp = (p * bw / 2).astype(np.complex128)
+        p = np.concatenate(
+            (p_lp + np.sqrt(p_lp**2 - wo**2), p_lp - np.sqrt(p_lp**2 - wo**2))
+        )
+        z = np.zeros(order, dtype=np.complex128)
+        k = k * bw**order
+    z_z = np.concatenate(((4.0 + z) / (4.0 - z), -np.ones(order)))
+    p_z = (4.0 + p) / (4.0 - p)
+    k_z = k * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
+    return k_z * _poly(z_z), _poly(p_z)
+
+
+def _lfilter(b, a, x) -> np.ndarray:
+    """Filter ``x`` by b / a in direct form II transposed, from a zero state.
+
+    The loop does scipy's ``lfilter`` arithmetic in its order for
+    ``a[0] == 1``, which :func:`_butter` always gives, and ``len(a) ==
+    len(b)``.
+    """
+    b0, b_rest, a_rest = float(b[0]), b[1:].tolist(), a[1:].tolist()
+    last = len(b_rest) - 1
+    state = [0.0] * len(b_rest)
+    out = []
+    for xn in x.tolist():
+        yn = state[0] + b0 * xn
+        for i in range(last):
+            state[i] = state[i + 1] + xn * b_rest[i] - yn * a_rest[i]
+        state[last] = xn * b_rest[last] - yn * a_rest[last]
+        out.append(yn)
+    return np.array(out)
+
+
 def interference_clip(
     kind: str, sample_rate: float, duration: float = 0.4, seed: int = 0
 ) -> np.ndarray:
@@ -138,10 +216,6 @@ def interference_clip(
     thump), "chair_drag" (modulated broadband scrape), "drop" (decaying
     impulse train).
     """
-    # Imported here, not at module level: scipy.signal is most of the import
-    # time of sikam.cli, and only this function needs it.
-    import scipy.signal
-
     if kind not in INTERFERENCE_KINDS:
         raise SynthError(f"unknown interference kind {kind!r}")
     rng = np.random.default_rng(seed + 1000 * INTERFERENCE_KINDS.index(kind))
@@ -150,21 +224,19 @@ def interference_clip(
     nyq = sample_rate / 2.0
     if kind == "cough":
         noise = rng.standard_normal(n)
-        b, a = scipy.signal.butter(4, [300 / nyq, 1800 / nyq], btype="band")
-        x = scipy.signal.lfilter(b, a, noise)
+        x = _lfilter(*_butter(4, [300.0, 1800.0], sample_rate), noise)
         env = (t / 0.03) * np.exp(1.0 - t / 0.03) + 0.4 * np.exp(
             -((t - 0.55 * duration) ** 2) / (2 * 0.04**2)
         )
         x *= env
     elif kind == "door_slam":
         thump = np.cos(2 * np.pi * 62.0 * t) * np.exp(-t / 0.08)
-        b, a = scipy.signal.butter(4, 350 / nyq, btype="low")
-        rumble = scipy.signal.lfilter(b, a, rng.standard_normal(n)) * np.exp(-t / 0.05)
+        rumble = _lfilter(*_butter(4, 350.0, sample_rate), rng.standard_normal(n))
+        rumble *= np.exp(-t / 0.05)
         x = thump + 0.5 * rumble
     elif kind == "chair_drag":
         noise = rng.standard_normal(n)
-        b, a = scipy.signal.butter(2, [120 / nyq, min(6000, nyq * 0.9) / nyq], btype="band")
-        x = scipy.signal.lfilter(b, a, noise)
+        x = _lfilter(*_butter(2, [120.0, min(6000, nyq * 0.9)], sample_rate), noise)
         x *= 0.7 + 0.3 * np.sin(2 * np.pi * 9.0 * t)
         fade = min(int(0.05 * sample_rate), n // 4)
         env = np.ones(n)

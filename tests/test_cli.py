@@ -315,7 +315,8 @@ class TestSeparateCommand:
             assert not wide_out.exists()
 
     def test_import_leaves_scipy_signal_out(self):
-        # scipy.signal dominates start-up; only synth.interference_clip needs it.
+        # scipy.signal, which pulls in scipy.stats, would dominate start-up
+        # time and memory; no part of sikam imports it.
         src = str(Path(cli.__file__).resolve().parents[1])
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import sikam.cli; "
@@ -325,6 +326,22 @@ class TestSeparateCommand:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert run.stdout.strip() == "False"
+
+    def test_building_scenes_leaves_scipy_signal_and_stats_out(self):
+        # The interference clips filter their noise without scipy, so neither
+        # the clips nor a scene grid load scipy.signal or scipy.stats.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "from sikam import evaluate, synth; "
+            "[synth.interference_clip(k, 22050.0) for k in synth.INTERFERENCE_KINDS]; "
+            "evaluate.default_scene_grid('melody', 'repeated', n_scenes=4); "
+            "print('scipy.signal' in sys.modules, 'scipy.stats' in sys.modules)"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "False False"
 
     def test_bad_manifest_key(self, tmp_path):
         manifest = tmp_path / "bad.cfg"

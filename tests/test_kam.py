@@ -264,8 +264,24 @@ class TestSeparate:
     )
     @pytest.mark.parametrize(
         "entry, value",
-        [((3, 7), np.nan), ((5, 20), np.inf), ((9, 30), -1e-3), (None, None)],
-        ids=["nan_candidate", "inf_support", "negative", "one_dim"],
+        [
+            ((3, 7), np.nan),
+            ((5, 20), np.inf),
+            ((9, 30), -1e-3),
+            (None, None),
+            (None, complex),
+            (None, str),
+            (None, object),
+        ],
+        ids=[
+            "nan_candidate",
+            "inf_support",
+            "negative",
+            "one_dim",
+            "complex",
+            "string",
+            "object",
+        ],
     )
     def test_bad_magnitudes_rejected_by_every_variant(self, rng, variant, entry, value):
         mag = rng.random((16, 40))
@@ -274,8 +290,11 @@ class TestSeparate:
         )
         plan = kam.plan_neighbors(mag, config)
         bad = mag.copy()
-        if entry is None:
+        if entry is None and value is None:
             bad = bad[:, 0]
+        elif entry is None:
+            # the same finite nonnegative values, held in a non-real dtype
+            bad = bad.astype(value)
         else:
             bad[entry] = value
         gate = "magnitudes must be a finite nonnegative 2-D matrix"

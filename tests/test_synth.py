@@ -94,6 +94,74 @@ class TestInterferenceClips:
         with pytest.raises(synth.SynthError):
             synth.interference_clip("sneeze", SR)
 
+    @pytest.mark.parametrize(
+        "kind, rate, message",
+        [
+            ("cough", 3000.0, "1800 Hz .* Nyquist frequency 1500 Hz"),
+            ("door_slam", 700.0, "350 Hz .* Nyquist frequency 350 Hz"),
+            ("chair_drag", 260.0, "120 Hz .* upper edge 117 Hz .*Nyquist frequency 130 Hz"),
+        ],
+        ids=["cough", "door_slam", "chair_drag"],
+    )
+    def test_filter_edges_beyond_nyquist_rejected(self, kind, rate, message):
+        with pytest.raises(synth.SynthError, match=message):
+            synth.interference_clip(kind, rate, duration=0.4)
+
+
+# The three filters of the bundled clips, as (order, edges in Hz) at a rate.
+def bundled_filters(rate):
+    return (
+        (4, [300.0, 1800.0]),
+        (4, 350.0),
+        (2, [120.0, min(6000, rate / 2.0 * 0.9)]),
+    )
+
+
+def scipy_butter(order, edges_hz, sample_rate):
+    """scipy's design of the same filter, with the edges in units of Nyquist."""
+    import scipy.signal
+
+    nyq = sample_rate / 2.0
+    if np.ndim(edges_hz):
+        return scipy.signal.butter(order, [f / nyq for f in edges_hz], btype="band")
+    return scipy.signal.butter(order, edges_hz / nyq, btype="low")
+
+
+class TestFiltersMatchScipy:
+    """The clip filters repeat scipy's arithmetic: every result is equal, not close."""
+
+    @pytest.mark.parametrize("rate", [8000.0, 16000.0, 22050.0, 44100.0, 48000.0])
+    def test_butter_equals_scipy(self, rate):
+        for order, edges in bundled_filters(rate):
+            b, a = synth._butter(order, edges, rate)
+            ref_b, ref_a = scipy_butter(order, edges, rate)
+            assert b.dtype == ref_b.dtype and a.dtype == ref_a.dtype
+            assert np.array_equal(b, ref_b) and np.array_equal(a, ref_a)
+            assert a[0] == 1.0
+
+    @pytest.mark.parametrize("rate", [8000.0, 44100.0])
+    def test_lfilter_equals_scipy(self, rate):
+        import scipy.signal
+
+        noise = np.random.default_rng(11).standard_normal(4000)
+        for order, edges in bundled_filters(rate):
+            b, a = synth._butter(order, edges, rate)
+            assert np.array_equal(
+                synth._lfilter(b, a, noise), scipy.signal.lfilter(b, a, noise)
+            )
+
+    @pytest.mark.parametrize("kind", synth.INTERFERENCE_KINDS)
+    @pytest.mark.parametrize("rate", [8000.0, 22050.0, 44100.0])
+    def test_clip_equals_scipy_formula(self, monkeypatch, kind, rate):
+        import scipy.signal
+
+        cases = ((0.35, 1), (0.2, 6))
+        clips = [synth.interference_clip(kind, rate, *case) for case in cases]
+        monkeypatch.setattr(synth, "_butter", scipy_butter)
+        monkeypatch.setattr(synth, "_lfilter", scipy.signal.lfilter)
+        for clip, case in zip(clips, cases):
+            assert np.array_equal(clip, synth.interference_clip(kind, rate, *case))
+
 
 class TestBundledMaterial:
     @pytest.mark.parametrize("index", range(5))
