@@ -1,21 +1,54 @@
-"""WAV input and output, limited to 16-bit PCM and 32-bit float."""
+"""WAV input and output, limited to 16-bit PCM and 32-bit float.
+
+Files are little-endian RIFF WAVE files: a ``fmt `` chunk, plain or
+``WAVE_FORMAT_EXTENSIBLE``, before a ``data`` chunk, with any other chunk
+skipped. Writes lay out the header as ``scipy.io.wavfile.write`` does.
+"""
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
-import scipy.io.wavfile
 
 
 class AudioIOError(IOError):
     """Unreadable, unwritable or unsupported audio files."""
 
 
-# The WAV encodings scipy reads as these sample types, none of them handled.
-_UNSUPPORTED_FORMATS = {
-    np.dtype(np.uint8): "8-bit PCM",
-    np.dtype(np.int32): "24- or 32-bit integer PCM",
-    np.dtype(np.float64): "64-bit float",
-}
+_PCM, _FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# The GUID of an extensible format, after its first two bytes (the format tag).
+_EXTENSIBLE_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+# (format tag, bits per sample) -> (subtype, sample type) of the handled encodings.
+_SUBTYPES = {(_PCM, 16): ("pcm16", "<i2"), (_FLOAT, 32): ("float32", "<f4")}
+_SAMPLE_TYPES = {subtype: dtype for subtype, dtype in _SUBTYPES.values()}
+
+
+def _format_name(tag: int, bits: int) -> str:
+    """What an unhandled encoding is called in the error message."""
+    if tag == _PCM:
+        if bits <= 8:
+            return "8-bit PCM"
+        return "24- or 32-bit integer PCM" if 16 < bits <= 32 else f"{bits}-bit integer PCM"
+    return f"{bits}-bit float" if tag == _FLOAT else f"format 0x{tag:04x}"
+
+
+def _chunk(chunk_id: bytes, body: bytes) -> bytes:
+    return chunk_id + struct.pack("<I", len(body)) + body
+
+
+def _chunks(raw: bytes, path):
+    """(id, start, size) of every chunk after the RIFF header, in file order."""
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise AudioIOError(
+            f"cannot parse {path}: not a little-endian RIFF WAVE file (it starts {raw[:4]!r})"
+        )
+    pos = 12
+    while pos + 8 <= len(raw):
+        size = struct.unpack_from("<I", raw, pos + 4)[0]
+        yield raw[pos : pos + 4], pos + 8, size
+        pos += 8 + size + size % 2  # chunks of odd size carry a pad byte
 
 
 def read_wav(path) -> tuple[np.ndarray, float, str]:
@@ -25,36 +58,93 @@ def read_wav(path) -> tuple[np.ndarray, float, str]:
     mono or (n, channels) otherwise and subtype is "pcm16" or "float32".
     """
     try:
-        rate, data = scipy.io.wavfile.read(path)
-    except FileNotFoundError as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
         raise AudioIOError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise AudioIOError(f"cannot parse {path}: {exc}") from exc
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-        subtype = "pcm16"
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-        subtype = "float32"
+    fmt = None
+    for chunk, start, size in _chunks(raw, path):
+        if chunk == b"fmt ":
+            if size < 16 or start + size > len(raw):
+                raise AudioIOError(f"cannot parse {path}: fmt chunk of {size} bytes")
+            tag, channels, rate, _, align, bits = struct.unpack_from("<HHIIHH", raw, start)
+            guid = raw[start + 24 : start + 40]
+            if tag == _EXTENSIBLE and size >= 40 and guid[2:] == _EXTENSIBLE_GUID_TAIL:
+                tag = struct.unpack_from("<H", guid)[0]
+            fmt = tag, channels, rate, align, bits
+        elif chunk == b"data":
+            break
     else:
-        name = _UNSUPPORTED_FORMATS.get(data.dtype, f"sample format {data.dtype}")
+        raise AudioIOError(f"cannot parse {path}: no data chunk")
+    if fmt is None:
+        raise AudioIOError(f"cannot parse {path}: no fmt chunk before the data chunk")
+    tag, channels, rate, align, bits = fmt
+    if (tag, bits) not in _SUBTYPES:
         raise AudioIOError(
-            f"unsupported WAV {name} in {path}: only 16-bit PCM and 32-bit "
-            "float are handled"
+            f"unsupported WAV {_format_name(tag, bits)} in {path}: only 16-bit PCM and "
+            "32-bit float are handled"
         )
-    return samples, float(rate), subtype
+    subtype, dtype = _SUBTYPES[tag, bits]
+    width = np.dtype(dtype).itemsize
+    if channels < 1 or align != channels * width:
+        raise AudioIOError(
+            f"cannot parse {path}: {channels} channels of {bits}-bit samples in "
+            f"{align}-byte frames"
+        )
+    if start + size > len(raw):
+        raise AudioIOError(
+            f"cannot parse {path}: truncated data chunk, {len(raw) - start} of {size} bytes"
+        )
+    if size % align:
+        raise AudioIOError(
+            f"cannot parse {path}: data chunk of {size} bytes is not a whole number "
+            f"of {align}-byte frames"
+        )
+    data = np.frombuffer(raw, dtype=dtype, count=size // width, offset=start)
+    samples = data / 32768.0 if subtype == "pcm16" else data.astype(np.float64)
+    return (samples if channels == 1 else samples.reshape(-1, channels)), float(rate), subtype
 
 
 def write_wav(path, samples, sample_rate: float, subtype: str = "pcm16") -> None:
-    """Write float samples as 16-bit PCM (clipped) or 32-bit float."""
+    """Write float samples as 16-bit PCM (clipped) or 32-bit float.
+
+    ``samples`` has shape (n,) for mono or (n, channels). Non-finite samples
+    are rejected before the file is opened.
+    """
     samples = np.asarray(samples)
-    if subtype == "pcm16":
-        data = np.clip(np.round(samples * 32768.0), -32768, 32767).astype(np.int16)
-    elif subtype == "float32":
-        data = samples.astype(np.float32)
-    else:
+    if subtype not in _SAMPLE_TYPES:
         raise AudioIOError(f"unsupported write subtype {subtype!r}")
+    if samples.ndim not in (1, 2):
+        raise AudioIOError(f"cannot write {path}: samples of shape {samples.shape}")
+    bad = np.count_nonzero(~np.isfinite(samples))
+    if bad:
+        raise AudioIOError(
+            f"cannot write {path}: {bad} non-finite samples (NaN or infinity)"
+        )
+    if subtype == "pcm16":
+        samples = np.clip(np.round(samples * 32768.0), -32768, 32767)
+    data = samples.astype(_SAMPLE_TYPES[subtype])
+    tag = _PCM if subtype == "pcm16" else _FLOAT
+    channels, rate = 1 if data.ndim == 1 else data.shape[1], int(sample_rate)
+    align = channels * data.itemsize
     try:
-        scipy.io.wavfile.write(path, int(sample_rate), data)
+        fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, 8 * data.itemsize)
+        if tag == _PCM:
+            header = _chunk(b"fmt ", fmt)
+        else:
+            # A non-PCM fmt chunk ends in an empty extension, and a fact
+            # chunk with the frame count follows it.
+            fact = struct.pack("<I", len(data))
+            header = _chunk(b"fmt ", fmt + b"\x00\x00") + _chunk(b"fact", fact)
+        header = b"WAVE" + header + b"data" + struct.pack("<I", data.nbytes)
+        riff = b"RIFF" + struct.pack("<I", len(header) + data.nbytes)
+    except struct.error as exc:
+        raise AudioIOError(
+            f"cannot write {path}: {data.nbytes} bytes at {rate} Hz do not fit a WAV header"
+        ) from exc
+    try:
+        with open(path, "wb") as fh:
+            fh.write(riff + header)
+            fh.write(data)
     except OSError as exc:
         raise AudioIOError(f"cannot write {path}: {exc}") from exc

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -221,6 +222,8 @@ def cmd_separate(args) -> int:
             "shift_histogram": _shift_histogram(plan),
         },
         "outputs": ["source.wav", "interference.wav"],
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     print(f"wrote {out_dir / 'source.wav'} and {out_dir / 'interference.wav'}")

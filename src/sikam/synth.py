@@ -220,6 +220,8 @@ def interference_clip(
         raise SynthError(f"unknown interference kind {kind!r}")
     rng = np.random.default_rng(seed + 1000 * INTERFERENCE_KINDS.index(kind))
     n = int(round(duration * sample_rate))
+    if n < 1:
+        raise SynthError(f"{kind} clip of {duration} s at {sample_rate} Hz has no samples")
     t = np.arange(n) / sample_rate
     nyq = sample_rate / 2.0
     if kind == "cough":
@@ -239,6 +241,8 @@ def interference_clip(
         x = _lfilter(*_butter(2, [120.0, min(6000, nyq * 0.9)], sample_rate), noise)
         x *= 0.7 + 0.3 * np.sin(2 * np.pi * 9.0 * t)
         fade = min(int(0.05 * sample_rate), n // 4)
+        if fade < 1:
+            raise SynthError(f"chair_drag clip of {n} samples is shorter than its fade")
         env = np.ones(n)
         env[:fade] = np.linspace(1.0 / fade, 1.0, fade)
         env[-fade:] = env[:fade][::-1]

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 import tempfile
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io.wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +37,45 @@ def support_arg(scene):
     return f"{lo:.3f}:{hi:.3f}"
 
 
+def riff(*chunks):
+    """A RIFF WAVE file of (id, body) chunks, an odd-sized body padded by a byte."""
+    body = b"WAVE" + b"".join(
+        cid + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) % 2)
+        for cid, data in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def pcm16_fmt(channels, rate, tag=1):
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * 2 * channels, 2 * channels, 16)
+
+
+# WAVE_FORMAT_EXTENSIBLE naming 16-bit PCM: cbSize 22, 16 valid bits, front
+# left and right, and the PCM subformat GUID.
+EXTENSIBLE_PCM16_STEREO = pcm16_fmt(2, 8000, tag=0xFFFE) + struct.pack("<HHI", 22, 16, 3) + (
+    b"\x01\x00\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+)
+
+
+MONO_PCM16 = riff((b"fmt ", pcm16_fmt(1, 8000)), (b"data", b"\x00" * 200))
+
+
+def scipy_samples(path):
+    """scipy's read of a 16-bit PCM or 32-bit float file, scaled as read_wav scales it."""
+    rate, data = scipy.io.wavfile.read(path)
+    return (data / 32768.0 if data.dtype == np.int16 else data.astype(np.float64)), float(rate)
+
+
+def assert_unreadable(path, tmp_path, match):
+    with pytest.raises(AudioIOError, match=match):
+        read_wav(path)
+    out = tmp_path / "out"
+    code = cli.main(
+        ["separate", "--input", str(path), "--output-dir", str(out), "--support", "0:0.001"]
+    )
+    assert code == 3 and not out.exists()
+
+
 class TestAudioIO:
     def test_pcm16_round_trip(self, tmp_path, rng):
         x = np.clip(rng.standard_normal(4000) * 0.2, -0.9, 0.9)
@@ -52,13 +93,67 @@ class TestAudioIO:
         assert subtype == "float32"
         np.testing.assert_array_equal(y, x)
 
+    @pytest.mark.parametrize("subtype", ["pcm16", "float32"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_writes_and_reads_equal_scipy(self, tmp_path, rng, subtype, channels):
+        x = np.clip(rng.standard_normal((1001, channels)) * 0.4, -1.2, 1.2)
+        x = x[:, 0] if channels == 1 else x
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+        write_wav(ours, x, 22050.0, subtype)
+        if subtype == "pcm16":
+            data = np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
+        else:
+            data = x.astype(np.float32)
+        scipy.io.wavfile.write(theirs, 22050, data)
+        assert ours.read_bytes() == theirs.read_bytes()
+        y, rate, got = read_wav(ours)
+        expected, expected_rate = scipy_samples(theirs)
+        assert np.array_equal(y, expected) and y.shape == x.shape
+        assert (rate, got) == (expected_rate, subtype)
+
+    @pytest.mark.parametrize(
+        "chunks",
+        [
+            [(b"fmt ", EXTENSIBLE_PCM16_STEREO)],
+            [(b"fmt ", pcm16_fmt(2, 8000)), (b"LIST", b"INFOodd")],
+        ],
+        ids=["extensible", "odd-list-chunk"],
+    )
+    def test_reads_equal_scipy(self, tmp_path, rng, chunks):
+        data = rng.integers(-32768, 32768, (50, 2)).astype("<i2").tobytes()
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff(*chunks, (b"data", data)))
+        y, rate, subtype = read_wav(path)
+        expected, expected_rate = scipy_samples(path)
+        assert np.array_equal(y, expected) and y.shape == (50, 2)
+        assert (rate, subtype) == (expected_rate, "pcm16")
+
+    @pytest.mark.parametrize(
+        "content, match",
+        [
+            (MONO_PCM16[:-100], "truncated data chunk"),
+            (b"RIFX" + MONO_PCM16[4:], "not a little-endian RIFF"),
+            (riff((b"LIST", b"INFO"), (b"data", b"\x00" * 200)), "no fmt chunk"),
+        ],
+        ids=["truncated-data", "rifx", "no-fmt"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, content, match):
+        path = tmp_path / "x.wav"
+        path.write_bytes(content)
+        assert_unreadable(path, tmp_path, match)
+
+    @pytest.mark.parametrize("subtype", ["pcm16", "float32"])
+    def test_non_finite_write_rejected(self, tmp_path, subtype):
+        path = tmp_path / "x.wav"
+        with pytest.raises(AudioIOError, match="2 non-finite samples"):
+            write_wav(path, [0.1, np.nan, np.inf], 8000, subtype)
+        assert not path.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(AudioIOError):
             read_wav(tmp_path / "absent.wav")
 
     def test_unsupported_subtype(self, tmp_path):
-        import scipy.io.wavfile
-
         path = tmp_path / "x.wav"
         scipy.io.wavfile.write(path, 8000, np.zeros(100, dtype=np.int32))
         with pytest.raises(AudioIOError):
@@ -73,17 +168,9 @@ class TestAudioIO:
         ],
     )
     def test_unsupported_format_named(self, tmp_path, dtype, name):
-        import scipy.io.wavfile
-
         path = tmp_path / "x.wav"
         scipy.io.wavfile.write(path, 8000, np.zeros(100, dtype=dtype))
-        with pytest.raises(AudioIOError, match=f"unsupported WAV {name} in "):
-            read_wav(path)
-        out = tmp_path / "out"
-        code = cli.main(
-            ["separate", "--input", str(path), "--output-dir", str(out), "--support", "0:0.001"]
-        )
-        assert code == 3 and not out.exists()
+        assert_unreadable(path, tmp_path, f"unsupported WAV {name} in ")
 
 
 class TestSeparateCommand:
@@ -112,6 +199,7 @@ class TestSeparateCommand:
         assert resid < 1e-2
         report = json.loads((out / "report.json").read_text())
         assert report["neighbor_stats"]["targets"] == len(report["support_frames"])
+        assert isinstance(report["peak_rss_mb"], float) and report["peak_rss_mb"] > 0
         assert set(report["timings_sec"]) >= {
             "analysis",
             "neighbor_search",
@@ -269,7 +357,8 @@ class TestSeparateCommand:
         x, _, _ = read_wav(demo_wav)
         x[len(x) // 2] = np.nan
         nan_wav = tmp_path / "nan.wav"
-        write_wav(nan_wav, x, SR, "float32")
+        # write_wav refuses NaN, so scipy writes this input
+        scipy.io.wavfile.write(nan_wav, int(SR), x.astype(np.float32))
         nan_out = tmp_path / "nan_out"
         assert (
             cli.main(
@@ -314,34 +403,30 @@ class TestSeparateCommand:
             )
             assert not wide_out.exists()
 
-    def test_import_leaves_scipy_signal_out(self):
-        # scipy.signal, which pulls in scipy.stats, would dominate start-up
-        # time and memory; no part of sikam imports it.
+    def test_separate_and_grid_leave_scipy_out(self, tmp_path):
+        # WAV input and output, resynthesis, the interference clips and the
+        # scene grid run on numpy alone; scipy would add about 20 MB and a
+        # hundred modules to every process.
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); import sikam.cli; "
-            "print('scipy.signal' in sys.modules)"
-        )
+        wav, out = str(tmp_path / "in.wav"), str(tmp_path / "out")
+        code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+import sikam.cli, sikam.evaluate
+from sikam import synth
+from sikam.audio_io import write_wav
+write_wav({wav!r}, 0.1 * np.random.default_rng(0).standard_normal(22050), 22050, "pcm16")
+argv = ["separate", "--input", {wav!r}, "--output-dir", {out!r}, "--support", "0.4:0.6"]
+assert sikam.cli.main(argv + ["--k", "5"]) == 0
+[synth.interference_clip(k, 22050.0) for k in synth.INTERFERENCE_KINDS]
+sikam.evaluate.default_scene_grid("melody", "repeated", n_scenes=4)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
         run = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert run.stdout.strip() == "False"
-
-    def test_building_scenes_leaves_scipy_signal_and_stats_out(self):
-        # The interference clips filter their noise without scipy, so neither
-        # the clips nor a scene grid load scipy.signal or scipy.stats.
-        src = str(Path(cli.__file__).resolve().parents[1])
-        code = (
-            f"import sys; sys.path.insert(0, {src!r}); "
-            "from sikam import evaluate, synth; "
-            "[synth.interference_clip(k, 22050.0) for k in synth.INTERFERENCE_KINDS]; "
-            "evaluate.default_scene_grid('melody', 'repeated', n_scenes=4); "
-            "print('scipy.signal' in sys.modules, 'scipy.stats' in sys.modules)"
-        )
-        run = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert run.stdout.strip() == "False False"
+        assert run.stdout.splitlines()[-1] == "[]"
 
     def test_bad_manifest_key(self, tmp_path):
         manifest = tmp_path / "bad.cfg"

@@ -94,6 +94,18 @@ class TestInterferenceClips:
         with pytest.raises(synth.SynthError):
             synth.interference_clip("sneeze", SR)
 
+    @pytest.mark.parametrize("kind", synth.INTERFERENCE_KINDS)
+    def test_empty_clip_rejected(self, kind):
+        with pytest.raises(synth.SynthError, match="no samples"):
+            synth.interference_clip(kind, 22050.0, duration=0.0)
+
+    def test_clip_shorter_than_its_fade_rejected(self):
+        # chair_drag fades in and out over at most a quarter of the clip
+        with pytest.raises(synth.SynthError, match="shorter than its fade"):
+            synth.interference_clip("chair_drag", 22050.0, duration=0.0001)
+        four_samples = synth.interference_clip("chair_drag", 22050.0, duration=4 / 22050.0)
+        assert len(four_samples) == 4 and np.isfinite(four_samples).all()
+
     @pytest.mark.parametrize(
         "kind, rate, message",
         [

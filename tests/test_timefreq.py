@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -162,7 +163,7 @@ class TestFoldedForward:
         x = rng.standard_normal(max(n, params.window_length))
         spect = tf.forward_logfreq(x, params)
         assert spect.n_frames == frames
-        dense = (tf._frame_matrix(x, params) @ tf._kernel_bank(params).T).T
+        dense = (tf._frame_view(x, params) @ tf._kernel_bank(params).T).T
         assert np.abs(spect.data - dense).max() <= 1e-13 * np.abs(dense).max()
 
     def test_peak_memory_grows_with_the_output_not_the_frames(self, rng):
@@ -253,16 +254,25 @@ class TestMasking:
             spect.with_data(np.ones((3, 3)))
 
 
+def sparse_backmap(params):
+    """The two-tap gain interpolation as a sparse (linear bins, log bins) matrix."""
+    low, high, w_low, w_high = tf._mask_backmap(params)
+    rows = np.concatenate([np.arange(len(low))] * 2)
+    vals = (np.concatenate([w_low, w_high]), (rows, np.concatenate([low, high])))
+    return scipy.sparse.csr_matrix(vals, shape=(params.n_linear_bins, params.n_bins))
+
+
 def full_overlap_add_inverse(spect):
-    """Resynthesis of every frame: linear STFT of all frames, gains, and a
-    per-frame overlap-add loop (the inverse before changed-frame splicing)."""
+    """Resynthesis of every frame: linear STFT of all frames, gains through a
+    sparse matrix product, and a per-frame overlap-add loop (the inverse
+    before changed-frame splicing and frame blocks)."""
     params, x = spect.params, spect._signal
     win, hop = params.window_length, params.hop
     w = np.hanning(win)
-    linear = np.fft.rfft(tf._frame_matrix(x, params) * w, axis=1).T
+    linear = np.fft.rfft(tf._frame_view(x, params) * w, axis=1).T
     ratio = np.zeros_like(spect.data)
     np.divide(spect.data, spect._base, out=ratio, where=spect._base != 0)
-    frames = np.fft.irfft((tf._mask_backmap(params) @ ratio) * linear, n=win, axis=0)
+    frames = np.fft.irfft((sparse_backmap(params) @ ratio) * linear, n=win, axis=0)
     n_frames = frames.shape[1]
     acc = np.zeros((n_frames - 1) * hop + win)
     den = np.zeros_like(acc)
@@ -384,6 +394,49 @@ class TestChangedFrameResynthesis:
         mask = np.ones(spect.data.shape)
         mask[:, cols] = rng.random((spect.n_bins, len(cols))) * rng.integers(0, 2, len(cols))
         assert_matches_full_inverse(spect, mask)
+
+
+class TestBlockedInverse:
+    """The inverse resynthesizes the kept frames in blocks of INVERSE_BLOCK;
+    the blocks must not show in its output or its memory."""
+
+    @pytest.mark.parametrize(
+        "params", [DEFAULT, PARAMS_UNEVEN_HOP], ids=["default", "hop-not-dividing-window"]
+    )
+    def test_blocks_match_full_inverse(self, params, rng):
+        block = tf.INVERSE_BLOCK
+        n_frames = 4 * block
+        spect = tf.forward_logfreq(rng.standard_normal((n_frames - 1) * params.hop + 1), params)
+        assert spect.n_frames == n_frames
+        # Every frame changes but a gap around frame `block`, wide enough
+        # that no kept frame fills it.
+        gap = list(range(block - 10, block + 10))
+        mask = rng.random(spect.data.shape)
+        mask[:, gap] = 1.0
+        changed, hit = assert_matches_full_inverse(spect, mask)
+        assert len(changed) > 2 * block and not hit.all()
+
+    def test_peak_memory_grows_with_the_samples_not_the_frames(self, rng):
+        # Doubling an all-changed input may add a few copies of the added
+        # samples (the padded signal, the output, the overlap-add sums and
+        # the cover mask), never a spectrum or frame matrix of T x window.
+        params = DEFAULT
+        peaks, lengths = [], [blocks * tf.INVERSE_BLOCK * params.hop for blocks in (16, 32)]
+        for n in lengths:
+            spect = tf.forward_logfreq(rng.standard_normal(n), params)
+            masked = spect.with_data(spect.data * 0.5)
+            tf.inverse_logfreq(masked)  # fills the back-map cache
+            tracemalloc.start()
+            try:
+                tf.inverse_logfreq(masked)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        more_samples = lengths[1] - lengths[0]
+        more_frames = tf.n_frames_for(params, lengths[1]) - tf.n_frames_for(params, lengths[0])
+        allowed = 5 * more_samples * 8 + 2**20  # 1 MiB of slack
+        assert peaks[1] - peaks[0] <= allowed
+        assert more_frames * params.window_length * 8 > allowed
 
 
 class TestTranslation:
