@@ -1,3 +1,4 @@
+import ast
 import json
 import struct
 import subprocess
@@ -74,6 +75,17 @@ def assert_unreadable(path, tmp_path, match):
         ["separate", "--input", str(path), "--output-dir", str(out), "--support", "0:0.001"]
     )
     assert code == 3 and not out.exists()
+
+
+def scipy_modules_after(code):
+    """The scipy modules loaded after running `code` in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    tail = 'print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))'
+    run = subprocess.run(
+        [sys.executable, "-c", f"import sys\nsys.path.insert(0, {src!r})\n{code}\n{tail}"],
+        capture_output=True, text=True, check=True,
+    )
+    return ast.literal_eval(run.stdout.splitlines()[-1])
 
 
 class TestAudioIO:
@@ -403,30 +415,31 @@ class TestSeparateCommand:
             )
             assert not wide_out.exists()
 
-    def test_separate_and_grid_leave_scipy_out(self, tmp_path):
-        # WAV input and output, resynthesis, the interference clips and the
-        # scene grid run on numpy alone; scipy would add about 20 MB and a
-        # hundred modules to every process.
-        src = str(Path(cli.__file__).resolve().parents[1])
+    def test_import_leaves_scipy_signal_out(self, tmp_path):
+        # WAV input and output, resynthesis and the scene grid run on numpy
+        # alone; scipy would add about 20 MB and a hundred modules to every
+        # process.
         wav, out = str(tmp_path / "in.wav"), str(tmp_path / "out")
         code = f"""
-import sys
-sys.path.insert(0, {src!r})
 import numpy as np
 import sikam.cli, sikam.evaluate
-from sikam import synth
 from sikam.audio_io import write_wav
 write_wav({wav!r}, 0.1 * np.random.default_rng(0).standard_normal(22050), 22050, "pcm16")
 argv = ["separate", "--input", {wav!r}, "--output-dir", {out!r}, "--support", "0.4:0.6"]
 assert sikam.cli.main(argv + ["--k", "5"]) == 0
-[synth.interference_clip(k, 22050.0) for k in synth.INTERFERENCE_KINDS]
 sikam.evaluate.default_scene_grid("melody", "repeated", n_scenes=4)
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
-        run = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert run.stdout.splitlines()[-1] == "[]"
+        assert scipy_modules_after(code) == []
+
+    def test_building_scenes_leaves_scipy_signal_and_stats_out(self):
+        # The interference clips filter their noise without scipy, so neither
+        # the clips nor a scene grid load any scipy module.
+        code = """
+from sikam import evaluate, synth
+[synth.interference_clip(k, 22050.0) for k in synth.INTERFERENCE_KINDS]
+evaluate.default_scene_grid("melody", "repeated", n_scenes=4)
+"""
+        assert scipy_modules_after(code) == []
 
     def test_bad_manifest_key(self, tmp_path):
         manifest = tmp_path / "bad.cfg"
