@@ -18,7 +18,6 @@ from .evaluate import (
 )
 from .kam import SeparationConfig, build_soft_mask, plan_neighbors, separate
 from .shiftkam import shift_frame
-from .specmurt import ShiftEstimate, estimate_shift_deconv
 from .synth import interference_clip, synthesize_note
 from .timefreq import (
     ComplexSpectrogram,
@@ -33,12 +32,10 @@ __all__ = [
     "ComplexSpectrogram",
     "EvalResult",
     "SeparationConfig",
-    "ShiftEstimate",
     "SyntheticScene",
     "TransformParams",
     "build_scene",
     "build_soft_mask",
-    "estimate_shift_deconv",
     "forward_logfreq",
     "interference_clip",
     "inverse_logfreq",

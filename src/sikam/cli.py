@@ -234,6 +234,8 @@ def cmd_eval(args) -> int:
     config = _kernel_config(args)
     if args.scenes_per_condition < 1:
         raise UsageError(f"--scenes-per-condition must be >= 1, got {args.scenes_per_condition}")
+    if not np.isfinite(args.snr):
+        raise UsageError(f"--snr must be a finite number of dB, got {args.snr}")
     contents = ("melody", "chords") if args.content == "both" else (args.content,)
     placements = (
         ("repeated", "not_repeated") if args.placement == "both" else (args.placement,)

@@ -240,15 +240,14 @@ def default_scene_grid(
     content: str,
     placement: str,
     n_scenes: int = 20,
-    params: TransformParams = EVAL_PARAMS,
     snr_db: float = 12.0,
     seed: int = 0,
-    note_duration: float = 0.6,
 ) -> tuple[SyntheticScene, ...]:
     """Bundled desk-scale grid: melodies (or chords) x timbres x interferences.
 
     Scene i uses melody ``i % 5``, timbre ``(i // 5) % 4`` and interference
-    kind ``i % 4``, so 20 scenes cover the full crossing.
+    kind ``i % 4``, so 20 scenes cover the full crossing. Every scene uses
+    :data:`EVAL_PARAMS` and the patterns' default 0.6 s notes.
     """
     if content == "melody":
         make_events = synth.melody_events
@@ -261,15 +260,14 @@ def default_scene_grid(
         timbre = synth.TIMBRES[(i // 5) % len(synth.TIMBRES)]
         kind = synth.INTERFERENCE_KINDS[i % len(synth.INTERFERENCE_KINDS)]
         clip = synth.interference_clip(
-            kind, params.sample_rate, duration=0.35, seed=seed + i
+            kind, EVAL_PARAMS.sample_rate, duration=0.35, seed=seed + i
         )
         scenes.append(
             build_scene(
-                make_events(i % 5, note_duration),
+                make_events(i % 5),
                 clip,
                 placement,
                 snr_db,
-                params=params,
                 timbre=timbre,
                 content=content,
                 scene_id=f"{content}{i % 5}-{timbre.name}-{kind}-{placement}-{i:02d}",

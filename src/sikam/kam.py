@@ -7,8 +7,9 @@ soft mask on the complex spectrogram. The kernels differ only in how they
 pick the (frame, shift) neighbors: the baseline and the exhaustive search
 (:mod:`sikam.shiftkam`, the baseline being its zero-shift case) and the
 specmurt searches (:mod:`sikam.specmurt`); estimation and masking are shared.
-:func:`plan_neighbors` is the one entry point of the searches; it and
-:func:`separation_masks` share the one check of a magnitude matrix.
+:func:`plan_neighbors` is the one entry point of the searches; it,
+:func:`separation_masks` and :func:`build_soft_mask` share the one check of
+a magnitude matrix.
 """
 
 from __future__ import annotations
@@ -100,14 +101,14 @@ def build_soft_mask(s_est, x_mag) -> np.ndarray:
     """Soft mask S / (N + S) with N = max(X - S, 0); zero where both vanish.
 
     Entries lie in [0, 1], and equal exactly 1 wherever the estimate reaches
-    or exceeds the observed magnitude (and is itself nonzero).
+    or exceeds the observed magnitude (and is itself nonzero). Raises
+    :class:`KernelError` unless both operands pass the magnitude check of
+    :func:`plan_neighbors` and have one shape.
     """
-    s = np.asarray(s_est, dtype=np.float64)
-    x = np.asarray(x_mag, dtype=np.float64)
+    s = _magnitudes(s_est).astype(np.float64, copy=False)
+    x = _magnitudes(x_mag).astype(np.float64, copy=False)
     if s.shape != x.shape:
         raise KernelError(f"shape mismatch: {s.shape} vs {x.shape}")
-    if np.any(s < 0) or np.any(x < 0):
-        raise KernelError("magnitudes must be nonnegative")
     # mask = S / (max(X - S, 0) + S) = S / max(X, S), with 0/0 -> 0
     denom = np.maximum(x, s)
     mask = np.zeros_like(denom)

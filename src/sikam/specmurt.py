@@ -11,39 +11,21 @@ All targets are searched together: their pools are the baseline search of
 :mod:`sikam.shiftkam` run once on the specmurt matrix, and the real
 half-spectrum of every pooled frame is taken once and shared by all
 deconvolutions, as is one zero-padded copy of the pooled frames that the
-re-rank reads its shifted columns from. :func:`estimate_shift_deconv` is the
-one-column case of the deconvolution. The search and :func:`specmurt_matrix`
-check no input: :func:`sikam.kam.plan_neighbors` does, before any search runs.
+re-rank reads its shifted columns from. That search is the one place the
+deconvolution runs. It and :func:`specmurt_matrix` check no input:
+:func:`sikam.kam.plan_neighbors` does, before any search runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .shiftkam import (
-    KernelError,
     _exhaustive_search,
     _shift_windows,
     _top_k,
     shift_frame,  # the primitive every returned shift is defined for; no call here
 )
-
-
-@dataclass(frozen=True)
-class ShiftEstimate:
-    """Result of the deconvolution-based shift search.
-
-    ``delta`` is the shift to feed :func:`sikam.shiftkam.shift_frame` so that
-    the candidate aligns with the target; ``peak_value`` is the largest
-    ``|h|`` (about 1 for identical columns) and ``peak_ratio`` compares it to
-    the runner-up; both are reported for diagnostics.
-    """
-
-    delta: int
-    peak_value: float
-    peak_ratio: float
 
 
 def specmurt_matrix(mag) -> np.ndarray:
@@ -94,31 +76,6 @@ def _deconvolve(
     # that shift_frame(z, delta) lines z up with y.
     delta = (n // 2 - np.argmax(mags, axis=1)) % n - n // 2
     return delta, mags
-
-
-def estimate_shift_deconv(y: np.ndarray, z: np.ndarray) -> ShiftEstimate:
-    """Relative frequency shift between two columns via fast deconvolution.
-
-    The one-column case of the pruned search's deconvolution: the shift is
-    read off the peak of ``|h|`` for ``y = h * z``. The returned delta aligns
-    ``z`` to ``y`` through ``shift_frame(z, delta)`` and lies in
-    ``[-n/2, n/2)``.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if y.shape != z.shape or y.ndim != 1:
-        raise KernelError("inputs must be one-dimensional and equal length")
-    if not np.any(y):
-        raise KernelError("target column is all zero")
-    if not np.any(z):
-        raise KernelError("candidate column is all zero")
-    v, power = _inverse_spectra(np.stack([y, z], axis=1))
-    delta, mags = _deconvolve(v[0], v[1:], power[1:], len(y))
-    top = np.sort(mags[0])[::-1]
-    peak = float(top[0])
-    second = float(top[1]) if len(top) > 1 else 0.0
-    ratio = peak / second if second > 0 else float("inf")
-    return ShiftEstimate(delta=int(delta[0]), peak_value=peak, peak_ratio=ratio)
 
 
 def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):

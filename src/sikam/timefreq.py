@@ -42,9 +42,8 @@ class TransformParams:
     bins_per_octave : int
         Number of geometrically spaced bins per octave.
     f_min : float
-        Frequency of bin 0 in Hz.
-    f_max : float or None
-        Upper edge of the analyzed band; defaults to the Nyquist frequency.
+        Frequency of bin 0 in Hz; the band runs from it to the Nyquist
+        frequency.
     hop : int
         Frame advance in samples.
     window_length : int
@@ -53,40 +52,38 @@ class TransformParams:
         "fixed" uses one window length for every bin; "per_bin" shortens the
         window of high bins so that bandwidth tracks ``alpha * f + gamma``.
     gamma : float
-        Bandwidth offset in Hz, only used by the "per_bin" policy.
+        Bandwidth offset in Hz, finite and non-negative; only used by the
+        "per_bin" policy.
     """
 
     sample_rate: float = 44100.0
     bins_per_octave: int = 24
     f_min: float = 27.5
-    f_max: float | None = None
     hop: int = 512
     window_length: int = 4096
     window_policy: str = "fixed"
     gamma: float = 20.0
 
     def __post_init__(self):
-        if self.f_max is None:
-            object.__setattr__(self, "f_max", self.sample_rate / 2.0)
         if self.sample_rate <= 0:
             raise TransformError("sample_rate must be positive")
         if self.bins_per_octave < 1:
             raise TransformError("bins_per_octave must be >= 1")
-        if not 0.0 < self.f_min < self.f_max:
-            raise TransformError("need 0 < f_min < f_max")
-        if self.f_max > self.sample_rate / 2.0 + 1e-9:
-            raise TransformError("f_max exceeds the Nyquist frequency")
+        if not 0.0 < self.f_min < self.sample_rate / 2.0:
+            raise TransformError("need 0 < f_min < the Nyquist frequency")
         if self.hop < 1:
             raise TransformError("hop must be >= 1")
         if self.window_length < 2 * self.hop:
             raise TransformError("window_length must be at least twice the hop")
         if self.window_policy not in ("fixed", "per_bin"):
             raise TransformError(f"unknown window_policy {self.window_policy!r}")
+        if not 0.0 <= self.gamma < np.inf:
+            raise TransformError("gamma must be finite and >= 0")
 
     @property
     def n_bins(self) -> int:
         """Number of log-frequency bins F."""
-        return int(np.ceil(self.bins_per_octave * np.log2(self.f_max / self.f_min)))
+        return int(np.ceil(self.bins_per_octave * np.log2(self.sample_rate / 2.0 / self.f_min)))
 
     @property
     def bin_frequencies(self) -> np.ndarray:
@@ -111,7 +108,6 @@ class ComplexSpectrogram:
 
     data: np.ndarray
     params: TransformParams
-    frame_times: np.ndarray
     _signal: np.ndarray | None = field(default=None, repr=False)
     _base: np.ndarray | None = field(default=None, repr=False)
 
@@ -274,11 +270,9 @@ def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
         coeffs.real[start:stop] = (block[:, :n_even] + mirrored[:, :n_even]) @ cos_half
         coeffs.imag[start:stop] = (block[:, :n_odd] - mirrored[:, :n_odd]) @ sin_half
     log_data = coeffs.T
-    frame_times = np.arange(len(frames)) * params.hop / params.sample_rate
     return ComplexSpectrogram(
         data=log_data,
         params=params,
-        frame_times=frame_times,
         _signal=x,
         _base=log_data,
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from sikam import kam
+from sikam import kam, specmurt
 from sikam.timefreq import TransformParams, forward_logfreq
 
 settings.register_profile(
@@ -61,6 +61,18 @@ def search_one(mag, target, variant, k, delta=0, surplus=0):
         k=k, delta=delta, surplus=surplus, variant=variant, support={target}
     )
     return neighbor_lists(kam.plan_neighbors(mag, config))[target]
+
+
+def deconvolve(y, z):
+    """The pruned search's deconvolution of one column pair: shift and ``|h|`` row.
+
+    The shift lines ``z`` up with ``y`` through ``shift_frame(z, shift)`` and
+    lies in ``[-n/2, n/2)``; the row is ``|h|`` for ``y = h * z`` (circular),
+    whose peak gives the shift.
+    """
+    v, power = specmurt._inverse_spectra(np.stack([y, z], axis=1))
+    shifts, mags = specmurt._deconvolve(v[0], v[1:], power[1:], len(y))
+    return int(shifts[0]), mags[0]
 
 
 @pytest.fixture

@@ -415,6 +415,18 @@ class TestSeparateCommand:
             )
             assert not wide_out.exists()
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-5000"])
+    def test_gamma_out_of_range_exit_2(self, demo_scene, demo_wav, tmp_path, capsys, gamma):
+        out = tmp_path / "out"
+        code = cli.main(
+            ["separate", "--input", str(demo_wav), "--output-dir", str(out),
+             "--support", support_arg(demo_scene), "--window-policy", "per_bin",
+             f"--gamma={gamma}"]
+        )
+        assert code == 2
+        assert "gamma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_import_leaves_scipy_signal_out(self, tmp_path):
         # WAV input and output, resynthesis and the scene grid run on numpy
         # alone; scipy would add about 20 MB and a hundred modules to every
@@ -617,6 +629,14 @@ class TestEvalCommand:
         code = cli.main(["eval", "--output-dir", str(out), "--scenes-per-condition", count])
         assert code == 2
         assert "--scenes-per-condition must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+    def test_non_finite_snr_exit_2(self, tmp_path, capsys, snr):
+        out = tmp_path / "eval"
+        code = cli.main(["eval", "--output-dir", str(out), f"--snr={snr}"])
+        assert code == 2
+        assert "--snr must be a finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tiny_grid(self, tmp_path):

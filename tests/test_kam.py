@@ -187,6 +187,21 @@ class TestSoftMask:
         with pytest.raises(kam.KernelError):
             kam.build_soft_mask(-np.ones((2, 2)), np.ones((2, 2)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("operand", ["estimate", "observed"])
+    @pytest.mark.parametrize(
+        "bad", [-1.0, np.nan, np.inf, 1.0 + 1.0j], ids=["negative", "nan", "inf", "complex"]
+    )
+    def test_bad_magnitudes_rejected(self, operand, bad):
+        good, worse = np.ones((1, 2)), np.array([[1.0, bad]])
+        s, x = (worse, good) if operand == "estimate" else (good, worse)
+        with pytest.raises(kam.KernelError, match="finite nonnegative"):
+            kam.build_soft_mask(s, x)
+
+    def test_integer_magnitudes_divide(self):
+        mask = kam.build_soft_mask(np.array([[3, 0]]), np.array([[5, 0]]))
+        np.testing.assert_array_equal(mask, [[0.6, 0.0]])
+
 
 class TestSeparate:
     def _spect(self, rng, small_params, n=4000):

@@ -44,11 +44,14 @@ class TestParams:
         [
             dict(f_min=0.0),
             dict(f_min=-1.0),
-            dict(f_max=30000.0),
+            dict(f_min=30000.0),
             dict(bins_per_octave=0),
             dict(hop=0),
             dict(hop=4096),
             dict(window_policy="wat"),
+            dict(gamma=np.nan),
+            dict(gamma=np.inf),
+            dict(gamma=-1.0),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -113,11 +116,6 @@ class TestForward:
             value = getattr(spect, f.name)
             if isinstance(value, np.ndarray):
                 assert value.size < full, f.name
-
-    def test_frame_times_spacing(self, small_params):
-        spect = tf.forward_logfreq(np.zeros(4000), small_params)
-        dt = np.diff(spect.frame_times)
-        np.testing.assert_allclose(dt, small_params.hop / small_params.sample_rate)
 
 
 PARAMS_ODD_WINDOW = tf.TransformParams(
@@ -218,7 +216,6 @@ class TestRoundTrip:
         orphan = tf.ComplexSpectrogram(
             data=np.zeros((small_params.n_bins, 5), dtype=complex),
             params=small_params,
-            frame_times=np.arange(5, dtype=float),
         )
         with pytest.raises(tf.TransformError):
             tf.inverse_logfreq(orphan)
