@@ -59,10 +59,12 @@ def synthesize_note(
     """One harmonic note: partials at k*f0 with amplitudes 1/k**partial_decay.
 
     Attack and release are linear ramps of ``ramp`` seconds (at least 10 ms).
-    Raises :class:`SynthError` when the highest partial would alias.
+    Raises :class:`SynthError` when ``f0`` or ``duration`` is not positive and
+    finite, or when the highest partial would alias.
     """
-    if f0 <= 0 or duration <= 0:
-        raise SynthError("f0 and duration must be positive")
+    # false for NaN too
+    if not (0.0 < f0 < np.inf and 0.0 < duration < np.inf):
+        raise SynthError(f"f0 ({f0} Hz) and duration ({duration} s) must be positive and finite")
     if n_partials < 1:
         raise SynthError("need at least one partial")
     if f0 * n_partials >= sample_rate / 2.0:
@@ -100,27 +102,39 @@ def render_events(
 
     Each event may hold one frequency (a note) or several (a chord). Returns
     the samples together with the (start, end) sample span of every event.
+    Each distinct tone is synthesized once and reused wherever it repeats.
     """
     head = int(round(lead * sample_rate))
     chunks = [np.zeros(head)]
     spans = []
     cursor = head
+    # Nothing below writes into a tone: the sum makes a new array and the
+    # concatenation copies, so a reused tone stays as synthesized.
+    tones = {}
     for freqs, duration in events:
         freqs = tuple(float(f) for f in np.atleast_1d(freqs))
+        if not freqs:
+            raise SynthError("event has no frequency")
+        amp = amplitude / len(freqs)
         note = None
         for f0 in freqs:
+            if not 0.0 < f0 < np.inf:
+                raise SynthError(f"fundamental {f0} Hz is not positive and finite")
             n_part = min(timbre.n_partials, int((sample_rate / 2.0 - 1.0) // f0))
             if n_part < 1:
                 raise SynthError(f"fundamental {f0:.1f} Hz is above Nyquist")
-            tone = synthesize_note(
-                f0,
-                duration,
-                sample_rate,
-                n_partials=n_part,
-                partial_decay=timbre.partial_decay,
-                amplitude=amplitude / len(freqs),
-                even_weight=timbre.even_weight,
-            )
+            key = (f0, duration, n_part, amp)
+            tone = tones.get(key)
+            if tone is None:
+                tone = tones[key] = synthesize_note(
+                    f0,
+                    duration,
+                    sample_rate,
+                    n_partials=n_part,
+                    partial_decay=timbre.partial_decay,
+                    amplitude=amp,
+                    even_weight=timbre.even_weight,
+                )
             note = tone if note is None else note + tone
         chunks.append(note)
         spans.append((cursor, cursor + len(note)))

@@ -31,6 +31,11 @@ class TransformError(ValueError):
     """Invalid parameters or inputs to the time-frequency transforms."""
 
 
+# Largest kernel bank, n_bins x window_length entries: 256 MiB as complex128.
+# The defaults use 232 x 4096 = 950,272.
+MAX_KERNEL_ENTRIES = 2**24
+
+
 @dataclass(frozen=True)
 class TransformParams:
     """Parameters of the log-frequency transform.
@@ -79,6 +84,11 @@ class TransformParams:
             raise TransformError(f"unknown window_policy {self.window_policy!r}")
         if not 0.0 <= self.gamma < np.inf:
             raise TransformError("gamma must be finite and >= 0")
+        if self.n_bins * self.window_length > MAX_KERNEL_ENTRIES:
+            raise TransformError(
+                f"{self.n_bins} bins x window_length {self.window_length} exceeds "
+                f"the kernel bound of {MAX_KERNEL_ENTRIES} entries"
+            )
 
     @property
     def n_bins(self) -> int:

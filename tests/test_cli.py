@@ -427,6 +427,21 @@ class TestSeparateCommand:
         assert "gamma must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--bins-per-octave", "2400"), ("--window-length", "441000")]
+    )
+    def test_oversized_kernel_bank_exit_2(
+        self, demo_scene, demo_wav, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "out"
+        code = cli.main(
+            ["separate", "--input", str(demo_wav), "--output-dir", str(out),
+             "--support", support_arg(demo_scene), flag, value]
+        )
+        assert code == 2
+        assert "exceeds the kernel bound" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_import_leaves_scipy_signal_out(self, tmp_path):
         # WAV input and output, resynthesis and the scene grid run on numpy
         # alone; scipy would add about 20 MB and a hundred modules to every

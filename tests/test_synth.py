@@ -30,6 +30,15 @@ class TestSynthesizeNote:
         with pytest.raises(synth.SynthError):
             synth.synthesize_note(440.0, 0.5, SR, ramp=0.001)
 
+    @pytest.mark.parametrize(
+        "f0, duration",
+        [(np.nan, 0.1), (440.0, np.inf), (np.inf, 0.1), (440.0, np.nan), (0.0, 0.1)],
+        ids=["nan-f0", "inf-duration", "inf-f0", "nan-duration", "zero-f0"],
+    )
+    def test_non_positive_or_non_finite_rejected(self, f0, duration):
+        with pytest.raises(synth.SynthError, match="positive and finite"):
+            synth.synthesize_note(f0, duration, 8000.0)
+
     def test_transposition_translates_transform(self):
         # ties the synthesizer to the transform's translation property
         params = TransformParams(sample_rate=SR)
@@ -68,6 +77,84 @@ class TestRenderEvents:
         events = (((2000.0,), 0.2),)
         x, _ = synth.render_events(events, SR, timbre=synth.TIMBRES[0])
         assert np.abs(x).max() > 0
+
+
+    def test_event_without_frequency_rejected(self):
+        with pytest.raises(synth.SynthError, match="no frequency"):
+            synth.render_events([((440.0,), 0.2), ((), 0.2)], SR)
+
+    @pytest.mark.parametrize("f0", [np.nan, 0.0, -220.0], ids=["nan", "zero", "negative"])
+    def test_bad_fundamental_rejected(self, f0):
+        with pytest.raises(synth.SynthError, match="positive and finite"):
+            synth.render_events([((440.0, f0), 0.2)], SR)
+
+
+def tiled(events_of, tiles=5, transpose_middle=False):
+    """Bundled pattern 0 repeated ``tiles`` times, optionally its middle event a semitone up."""
+    events = list(events_of(0, 0.11)) * tiles
+    if transpose_middle:
+        freqs, duration = events[len(events) // 2]
+        events[len(events) // 2] = (tuple(f * 2.0 ** (1 / 12) for f in freqs), duration)
+    return events
+
+
+def render_every_tone(events, sample_rate, timbre, lead=0.15, amplitude=0.8):
+    """Reference render: one synthesize_note call per tone, summed per event in order."""
+    head = int(round(lead * sample_rate))
+    chunks, spans, cursor = [np.zeros(head)], [], head
+    for freqs, duration in events:
+        note = None
+        for f0 in freqs:
+            n_part = min(timbre.n_partials, int((sample_rate / 2.0 - 1.0) // f0))
+            tone = synth.synthesize_note(
+                f0, duration, sample_rate, n_partials=n_part,
+                partial_decay=timbre.partial_decay, amplitude=amplitude / len(freqs),
+                even_weight=timbre.even_weight,
+            )
+            note = tone if note is None else note + tone
+        chunks.append(note)
+        spans.append((cursor, cursor + len(note)))
+        cursor += len(note)
+    chunks.append(np.zeros(head))
+    return np.concatenate(chunks), spans
+
+
+class TestRepeatedTones:
+    """render_events synthesizes each distinct tone once; the render is unchanged."""
+
+    @pytest.mark.parametrize("timbre", synth.TIMBRES, ids=lambda t: t.name)
+    @pytest.mark.parametrize("rate", [8000.0, 22050.0, 44100.0])
+    @pytest.mark.parametrize(
+        "events",
+        [tiled(synth.melody_events, transpose_middle=True), tiled(synth.chord_events)],
+        ids=["melody", "progression"],
+    )
+    def test_render_equals_one_call_per_tone(self, events, rate, timbre):
+        x, spans = synth.render_events(events, rate, timbre)
+        ref, ref_spans = render_every_tone(events, rate, timbre)
+        assert spans == ref_spans
+        assert x.dtype == ref.dtype and np.array_equal(x, ref)
+
+    @pytest.mark.parametrize(
+        "events, tones, calls",
+        [
+            (tiled(synth.melody_events, transpose_middle=True), 35, 5),
+            (tiled(synth.chord_events), 105, 9),
+        ],
+        ids=["melody", "progression"],
+    )
+    def test_one_call_per_distinct_tone(self, monkeypatch, events, tones, calls):
+        assert sum(len(freqs) for freqs, _ in events) == tones
+        made = []
+        original = synth.synthesize_note
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "synthesize_note", counted)
+        synth.render_events(events, SR)
+        assert len(made) == calls
 
 
 class TestInterferenceClips:

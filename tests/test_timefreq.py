@@ -52,6 +52,9 @@ class TestParams:
             dict(gamma=np.nan),
             dict(gamma=np.inf),
             dict(gamma=-1.0),
+            # kernel banks of 23,154 x 4096 and 232 x 441,000 entries, over the bound
+            dict(bins_per_octave=2400),
+            dict(window_length=441000),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
