@@ -8,17 +8,8 @@ fast-deconvolution alignment and optional pruning. Soft masks derived from
 the estimate split the recording into source and interference signals.
 """
 
-from .evaluate import (
-    EvalResult,
-    SyntheticScene,
-    build_scene,
-    nsdr,
-    run_grid,
-    sdr,
-)
 from .kam import SeparationConfig, build_soft_mask, plan_neighbors, separate
 from .shiftkam import shift_frame
-from .synth import interference_clip, synthesize_note
 from .timefreq import (
     ComplexSpectrogram,
     TransformParams,
@@ -30,20 +21,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexSpectrogram",
-    "EvalResult",
     "SeparationConfig",
-    "SyntheticScene",
     "TransformParams",
-    "build_scene",
     "build_soft_mask",
     "forward_logfreq",
-    "interference_clip",
     "inverse_logfreq",
-    "nsdr",
     "plan_neighbors",
-    "run_grid",
-    "sdr",
     "separate",
     "shift_frame",
-    "synthesize_note",
 ]

@@ -163,6 +163,9 @@ def cmd_separate(args) -> int:
     n_frames = spects[0].n_frames
     support: set[int] = set()
     for lo, hi in ranges:
+        # An end past the input covers no more frames, and a huge one would
+        # overflow the sample count.
+        hi = min(hi, duration)
         support.update(int(t) for t in frames_overlapping(params, n_frames, lo, hi))
     config = dataclasses.replace(config, support=frozenset(support))
 

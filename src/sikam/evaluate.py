@@ -18,6 +18,7 @@ from . import synth
 from .kam import SeparationConfig, separate
 from .timefreq import (
     TransformParams,
+    _covered,
     forward_logfreq,
     frames_overlapping_samples,
     inverse_logfreq,
@@ -153,15 +154,10 @@ def support_sample_mask(
 ) -> np.ndarray:
     """Boolean sample mask of the segment owned by the support frames.
 
-    Frame t owns the hop interval [t * hop, (t + 1) * hop).
+    Frame t owns the hop interval [t * hop, (t + 1) * hop), cut to the
+    signal; a frame outside it owns no sample.
     """
-    mask = np.zeros(n_samples, dtype=bool)
-    for t in support:
-        lo = int(t) * params.hop
-        hi = min(lo + params.hop, n_samples)
-        if lo < n_samples:
-            mask[lo:hi] = True
-    return mask
+    return _covered(np.asarray(support, dtype=int) * params.hop, params.hop, n_samples)
 
 
 def sdr(reference, estimate, sample_mask=None) -> float:

@@ -44,11 +44,13 @@ def _inverse_spectra(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``v`` is the ``rfft`` of the column, bins 0 to n // 2. ``eps`` is one per
     column, 1e-8 of its largest ``|v|``, which the half-spectrum holds as the
-    whole one does; the power is squared in the modulus's buffer.
+    whole one does; the power is squared in the modulus's buffer. A silent
+    column gets ``eps = 1``, so its quotient, its ``|h|`` and its lag are 0.
     """
     v = np.fft.rfft(cols.T, axis=1)
     power = np.abs(v)
     eps = 1e-8 * power.max(axis=1)
+    eps[eps == 0] = 1.0
     power **= 2
     power += eps[:, None] ** 2
     return v, power
@@ -85,8 +87,8 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     :func:`specmurt_matrix` of ``data``. The half-spectra of the targets
     and of every pooled frame are taken once, and so is one zero-padded
     copy of those frames with every shift in ``[-max_shift, max_shift]`` as
-    a view. Each target then divides and transforms back only its own live
-    pool columns (a silent target or column keeps shift 0), clamps the
+    a view. Each target then divides and transforms back its own pool
+    columns in one call (a silent target or column gets shift 0), clamps the
     shifts to ``[-max_shift, max_shift]``, gathers its aligned columns
     from that view and keeps the k closest to the target; with
     ``surplus=0`` that only re-ranks the pool (the ``specmurt`` variant).
@@ -100,16 +102,11 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     cols = data[:, used]
     v, power = _inverse_spectra(cols)
     windows = _shift_windows(cols.T, max_shift)
-    live = np.any(data, axis=0)
     found = np.empty((2, len(targets), k), dtype=int)
     for i, (target, frames) in enumerate(zip(targets, pools)):
         at = np.searchsorted(used, frames)
-        shifts = np.zeros(len(frames), dtype=int)
-        if live[target]:
-            on = at[live[frames]]
-            u = v[np.searchsorted(used, target)]
-            shifts[live[frames]] = _deconvolve(u, v[on], power[on], n_bins)[0]
-        shifts = np.clip(shifts, -max_shift, max_shift)
+        u = v[np.searchsorted(used, target)]
+        shifts = np.clip(_deconvolve(u, v[at], power[at], n_bins)[0], -max_shift, max_shift)
         # One C-ordered row per pool frame, the values shift_frame gives; the
         # batched row dot products are the same sums as np.dot on each row,
         # so distances match a per-frame loop.

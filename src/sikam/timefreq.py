@@ -181,7 +181,9 @@ def _kernel_bank(params: TransformParams) -> np.ndarray:
     return kernel
 
 
-@functools.lru_cache(maxsize=8)
+# One entry per cache: every program path uses one TransformParams, and the
+# two halves of a folded bank may hold MAX_KERNEL_ENTRIES floats, 128 MiB.
+@functools.lru_cache(maxsize=1)
 def _analysis_kernel(params: TransformParams) -> tuple[np.ndarray, np.ndarray]:
     """The kernel bank folded about the window centre, as two (h, F) halves.
 
@@ -203,7 +205,7 @@ def _analysis_kernel(params: TransformParams) -> tuple[np.ndarray, np.ndarray]:
     return cos_half, sin_half
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _mask_backmap(params: TransformParams) -> tuple[np.ndarray, ...]:
     """Two-tap map from per-log-bin gains to per-linear-bin gains.
 

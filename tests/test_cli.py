@@ -266,6 +266,20 @@ class TestSeparateCommand:
         assert not np.any(n[~touched])
         assert np.any(n[touched])
 
+    def test_support_end_past_the_input_is_cut_to_it(self, demo_scene, demo_wav, tmp_path):
+        # 1e308 s is more samples than a float holds; an end at or past the
+        # input covers the frames an end at the input does.
+        lo = support_arg(demo_scene).split(":")[0]
+        duration = len(demo_scene.mixture) / SR
+        sources = []
+        for name, hi in (("huge", "1e308"), ("end", repr(duration))):
+            out = tmp_path / name
+            argv = ["separate", "--input", str(demo_wav), "--output-dir", str(out),
+                    "--support", f"{lo}:{hi}", "--k", "5"]
+            assert cli.main(argv) == 0
+            sources.append((out / "source.wav").read_bytes())
+        assert sources[0] == sources[1]
+
     def test_empty_support_passes_input_through(self, demo_wav, tmp_path):
         out = tmp_path / "out"
         code = cli.main(

@@ -164,6 +164,11 @@ class TestSupportSampleMask:
         mask = evaluate.support_sample_mask((100,), PARAMS, 500)
         assert mask.shape == (500,) and not mask.any()
 
+    def test_negative_frame_owns_no_sample(self):
+        # A frame before the signal does not wrap around to its end.
+        mask = evaluate.support_sample_mask((-2,), PARAMS, 5000)
+        assert mask.shape == (5000,) and not mask.any()
+
 
 class TestGrid:
     def test_single_scene_single_variant_one_row(self):

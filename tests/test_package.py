@@ -1,4 +1,5 @@
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,30 +9,34 @@ import sikam
 
 PUBLIC_NAMES = {
     "ComplexSpectrogram",
-    "EvalResult",
     "SeparationConfig",
-    "SyntheticScene",
     "TransformParams",
-    "build_scene",
     "build_soft_mask",
     "forward_logfreq",
-    "interference_clip",
     "inverse_logfreq",
-    "nsdr",
     "plan_neighbors",
-    "run_grid",
-    "sdr",
     "separate",
     "shift_frame",
-    "synthesize_note",
 }
 
 
 def test_public_surface_is_pinned_and_resolves():
-    assert len(sikam.__all__) == len(PUBLIC_NAMES) == 17
+    assert len(sikam.__all__) == len(PUBLIC_NAMES) == 9
     assert set(sikam.__all__) == PUBLIC_NAMES
     for name in sikam.__all__:
         assert getattr(sikam, name) is not None, name
+
+
+def test_import_leaves_the_evaluation_harness_out():
+    # The scene builder, the metrics and the synthesizer have one import
+    # path, sikam.evaluate and sikam.synth, and `import sikam` loads neither.
+    src = str(Path(sikam.__file__).resolve().parents[1])
+    code = (
+        f"import sys\nsys.path.insert(0, {src!r})\nimport sikam\n"
+        "print(sorted(m for m in ('sikam.evaluate', 'sikam.synth') if m in sys.modules))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")

@@ -184,6 +184,15 @@ class TestEstimateShiftDeconv:
         y = rng.random(64) + 0.1
         assert deconvolve(y, np.roll(y, -7))[0] == -7
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_silent_column_gives_zero(self, rng):
+        # A silent column gets a power row of 1, not 0: its quotient and |h|
+        # are 0 and its lag is 0, with no 0/0 on the way.
+        y, silent = rng.random(64), np.zeros(64)
+        for pair in ((y, silent), (silent, y), (silent, silent)):
+            delta, h = deconvolve(*pair)
+            assert delta == 0 and not h.any()
+
     def test_delta_range_bound(self, rng):
         for _ in range(20):
             y = rng.random(32)
@@ -247,7 +256,7 @@ def pruned_oracle(mag, target, k, surplus, max_shift):
 class TestKnnSpecmurtPruned:
     """The pruned specmurt search of one target, every other frame a candidate."""
 
-    # An all-zero column must not reach the deconvolution (0/0 warnings).
+    # An all-zero column is deconvolved too, without a 0/0 warning.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_per_frame_oracle(self, rng):
         checked = 0
@@ -401,7 +410,7 @@ class TestPlanMatchesPerTargetReference:
         k = int(rng.integers(1, pool // 2 + 1))
         return mag, support, k, pool
 
-    # An all-zero column must not reach the deconvolution (0/0 warnings).
+    # An all-zero column is deconvolved too, without a 0/0 warning.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "make_matrix",

@@ -483,6 +483,17 @@ class TestSupportHelpers:
         assert spect.n_frames == tf.n_frames_for(small_params, len(x))
 
 
+class TestCaches:
+    def test_one_params_cached_at_a_time(self, small_params, rng):
+        # A bank may hold up to MAX_KERNEL_ENTRIES complex entries, and every
+        # program path uses one TransformParams, so the caches keep one entry.
+        for params in (small_params, dataclasses.replace(small_params, bins_per_octave=6)):
+            spect = tf.forward_logfreq(rng.standard_normal(4 * params.window_length), params)
+            tf.inverse_logfreq(spect.with_data(spect.data * 0.5))
+        assert tf._analysis_kernel.cache_info().currsize == 1
+        assert tf._mask_backmap.cache_info().currsize == 1
+
+
 class TestPerBinPolicy:
     def test_per_bin_round_trip_and_peaks(self, rng):
         params = tf.TransformParams(window_policy="per_bin")
