@@ -148,7 +148,8 @@ def cmd_separate(args) -> int:
     params = TransformParams(
         sample_rate=rate, **{name: getattr(args, name) for name in _TRANSFORM_FLAGS}
     )
-    channels = samples[:, None] if samples.ndim == 1 else samples
+    # An (n, channels) view, mono included; reshape(n, -1) fails on an empty input.
+    channels = np.atleast_2d(samples.T).T
     duration = channels.shape[0] / rate
     for lo, hi in ranges:
         if lo >= duration:
@@ -199,8 +200,6 @@ def cmd_separate(args) -> int:
     # the input, so the two outputs sum to the input by construction.
     t0 = time.perf_counter()
     interference = np.subtract(channels, source, out=channels)
-    if samples.ndim == 1:
-        source, interference = source[:, 0], interference[:, 0]
     timings["resynthesis"] += time.perf_counter() - t0
 
     out_dir = _make_dir(Path(args.output_dir))

@@ -14,6 +14,7 @@ a magnitude matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,14 @@ from .shiftkam import KernelError, shift_frame
 from .timefreq import ComplexSpectrogram
 
 VARIANTS = ("baseline", "shift_exhaustive", "specmurt", "specmurt_pruned")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float or any non-integer is a :class:`KernelError`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise KernelError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,10 @@ class SeparationConfig:
     def __post_init__(self):
         if self.surplus is None:
             object.__setattr__(self, "surplus", 2 * self.k)
-        object.__setattr__(self, "support", frozenset(int(t) for t in self.support))
+        for name in ("k", "delta", "surplus"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        support = frozenset(_integer("support frame", t) for t in self.support)
+        object.__setattr__(self, "support", support)
         if self.k < 1:
             raise KernelError("k must be >= 1")
         if self.delta < 0:
@@ -195,12 +207,11 @@ def separate(
     """Split a spectrogram into source and interference estimates.
 
     Support frames get the variant's median estimate turned into a soft mask;
-    all other frames pass through unchanged into the source. The two outputs
-    use complementary masks, so they sum to the input exactly. Raises
+    all other frames pass through unchanged into the source. The
+    interference is the input minus the source, as the CLI takes it. Raises
     :class:`KernelError` as :func:`plan_neighbors` does.
     """
     mag = np.abs(spect.data)
     mask = separation_masks(mag, plan_neighbors(mag, config))
     source = spect.with_data(spect.data * mask)
-    interference = spect.with_data(spect.data * (1.0 - mask))
-    return source, interference
+    return source, spect.with_data(spect.data - source.data)

@@ -21,11 +21,14 @@ class SynthError(ValueError):
 
 
 A3_HZ = 220.0
+RAMP_S = 0.015  # a note's linear attack and release, long enough not to click
+LEAD_S = 0.15  # silence before and after a rendered event sequence
+EVENT_AMPLITUDE = 0.8  # of an event's fundamental, split among a chord's tones
 
 
-def pitch_hz(semitones: float, reference: float = A3_HZ) -> float:
+def pitch_hz(semitones: float) -> float:
     """Frequency of a pitch given in semitones relative to A3."""
-    return reference * 2.0 ** (semitones / 12.0)
+    return A3_HZ * 2.0 ** (semitones / 12.0)
 
 
 @dataclass(frozen=True)
@@ -54,11 +57,10 @@ def synthesize_note(
     partial_decay: float = 1.0,
     amplitude: float = 1.0,
     even_weight: float = 1.0,
-    ramp: float = 0.015,
 ) -> np.ndarray:
     """One harmonic note: partials at k*f0 with amplitudes 1/k**partial_decay.
 
-    Attack and release are linear ramps of ``ramp`` seconds (at least 10 ms).
+    Attack and release are linear ramps of :data:`RAMP_S` seconds.
     Raises :class:`SynthError` when ``f0`` or ``duration`` is not positive and
     finite, or when the highest partial would alias.
     """
@@ -72,8 +74,6 @@ def synthesize_note(
             f"partial {n_partials} of f0={f0:.1f} Hz reaches "
             f"{f0 * n_partials:.1f} Hz, at or above Nyquist"
         )
-    if ramp < 0.010:
-        raise SynthError("ramps shorter than 10 ms click audibly")
     n = int(round(duration * sample_rate))
     t = np.arange(n) / sample_rate
     x = np.zeros(n)
@@ -82,7 +82,7 @@ def synthesize_note(
         if k % 2 == 0:
             w *= even_weight
         x += w * np.sin(2.0 * np.pi * k * f0 * t + 0.37 * k)
-    r = min(int(round(ramp * sample_rate)), n // 2)
+    r = min(int(round(RAMP_S * sample_rate)), n // 2)
     if r > 0:
         env = np.ones(n)
         env[:r] = np.arange(1, r + 1) / r
@@ -95,16 +95,15 @@ def render_events(
     events,
     sample_rate: float,
     timbre: Timbre = TIMBRES[0],
-    lead: float = 0.15,
-    amplitude: float = 0.8,
 ):
     """Render a sequence of (frequencies, duration) events back to back.
 
-    Each event may hold one frequency (a note) or several (a chord). Returns
-    the samples together with the (start, end) sample span of every event.
+    Each event may hold one frequency (a note) or several (a chord), and
+    :data:`LEAD_S` seconds of silence go before and after them. Returns the
+    samples together with the (start, end) sample span of every event.
     Each distinct tone is synthesized once and reused wherever it repeats.
     """
-    head = int(round(lead * sample_rate))
+    head = int(round(LEAD_S * sample_rate))
     chunks = [np.zeros(head)]
     spans = []
     cursor = head
@@ -115,7 +114,7 @@ def render_events(
         freqs = tuple(float(f) for f in np.atleast_1d(freqs))
         if not freqs:
             raise SynthError("event has no frequency")
-        amp = amplitude / len(freqs)
+        amp = EVENT_AMPLITUDE / len(freqs)
         note = None
         for f0 in freqs:
             if not 0.0 < f0 < np.inf:
@@ -144,14 +143,6 @@ def render_events(
 
 
 INTERFERENCE_KINDS = ("cough", "door_slam", "chair_drag", "drop")
-
-
-def _poly(roots: np.ndarray) -> np.ndarray:
-    """Real coefficients of the monic polynomial with ``roots`` (conjugate pairs)."""
-    coeffs = np.ones(1, dtype=roots.dtype)
-    for root in roots:
-        coeffs = np.convolve(coeffs, np.array([1.0, -root], dtype=roots.dtype))
-    return coeffs.real
 
 
 def _butter(order: int, edges_hz, sample_rate: float):
@@ -198,7 +189,7 @@ def _butter(order: int, edges_hz, sample_rate: float):
     z_z = np.concatenate(((4.0 + z) / (4.0 - z), -np.ones(order)))
     p_z = (4.0 + p) / (4.0 - p)
     k_z = k * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
-    return k_z * _poly(z_z), _poly(p_z)
+    return k_z * np.poly(z_z).real, np.poly(p_z).real
 
 
 def _lfilter(b, a, x) -> np.ndarray:

@@ -22,6 +22,7 @@ the same path.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,10 +71,17 @@ class TransformParams:
     gamma: float = 20.0
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise TransformError("sample_rate must be positive")
-        if self.bins_per_octave < 1:
-            raise TransformError("bins_per_octave must be >= 1")
+        # false for NaN too
+        if not 0.0 < self.sample_rate < np.inf:
+            raise TransformError(f"sample_rate {self.sample_rate} is not positive and finite")
+        for name in ("hop", "window_length"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TransformError(f"{name} must be an integer, got {value!r}") from None
+        if not 1 <= self.bins_per_octave < np.inf:
+            raise TransformError("bins_per_octave must be finite and >= 1")
         if not 0.0 < self.f_min < self.sample_rate / 2.0:
             raise TransformError("need 0 < f_min < the Nyquist frequency")
         if self.hop < 1:

@@ -207,6 +207,7 @@ class TestSeparateCommand:
         x, _, _ = read_wav(demo_wav)
         s, _, _ = read_wav(out / "source.wav")
         n, _, _ = read_wav(out / "interference.wav")
+        assert x.ndim == s.ndim == n.ndim == 1  # mono in, mono out
         resid = np.sqrt(np.mean((s + n - x) ** 2)) / np.sqrt(np.mean(x**2))
         assert resid < 1e-2
         report = json.loads((out / "report.json").read_text())
@@ -316,6 +317,16 @@ class TestSeparateCommand:
         assert code == 0
         s, _, _ = read_wav(out / "source.wav")
         assert s.ndim == 2 and s.shape[1] == 2
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 2)], ids=["mono", "stereo"])
+    def test_empty_input_exit_2(self, tmp_path, capsys, shape):
+        path = tmp_path / "empty.wav"
+        write_wav(path, np.zeros(shape), SR)
+        out = tmp_path / "out"
+        code = cli.main(["separate", "--input", str(path), "--output-dir", str(out)])
+        assert code == 2
+        assert "signal too short" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_file_with_flag_override(self, demo_scene, demo_wav, tmp_path):
         manifest = tmp_path / "run.cfg"

@@ -222,6 +222,18 @@ class TestSeparate:
         err = np.abs(total - spect.data).max()
         assert err <= 1e-12 * np.abs(spect.data).max()
 
+    @pytest.mark.parametrize("variant", kam.VARIANTS)
+    def test_interference_is_input_minus_source(self, rng, small_params, variant):
+        spect = self._spect(rng, small_params)
+        config = kam.SeparationConfig(
+            k=4, delta=3, surplus=4, variant=variant, support=frozenset({8, 9, 10})
+        )
+        source, interference = kam.separate(spect, config)
+        mag = np.abs(spect.data)
+        mask = kam.separation_masks(mag, kam.plan_neighbors(mag, config))
+        assert np.array_equal(source.data, spect.data * mask)
+        assert np.array_equal(interference.data, spect.data - source.data)
+
     def test_pool_smaller_than_k_rejected(self, rng, small_params):
         spect = self._spect(rng, small_params)
         config = kam.SeparationConfig(k=10**6, support=frozenset({0}))
@@ -330,3 +342,19 @@ class TestSeparationConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(kam.KernelError):
             kam.SeparationConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(k=2.5), dict(delta=1.5), dict(surplus=1.5), dict(support={2.7}), dict(k="3")],
+    )
+    def test_non_integer_settings_rejected(self, kwargs):
+        # Unchecked, a float fails inside an engine's slice, or a support
+        # frame is truncated to another frame.
+        with pytest.raises(kam.KernelError, match="must be an integer"):
+            kam.SeparationConfig(**kwargs)
+
+    def test_numpy_integers_accepted_as_ints(self):
+        config = kam.SeparationConfig(k=np.int64(4), delta=np.int32(2), support={np.int64(7)})
+        assert (config.k, config.delta, config.surplus, config.support) == (4, 2, 8, {7})
+        values = (config.k, config.delta, config.surplus, *config.support)
+        assert all(type(v) is int for v in values)

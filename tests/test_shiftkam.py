@@ -132,6 +132,13 @@ class TestShiftFrame:
         with pytest.raises(kam.KernelError):
             shiftkam.shift_frame(mat, np.array([0, 0, 17, 0, 0]))
 
+    def test_shift_windows_are_read_only(self, rng):
+        # Every shift of a row shares one padded copy, so a write through
+        # one window would change the others.
+        windows = shiftkam._shift_windows(rng.random((3, 8)), 2)
+        with pytest.raises(ValueError, match="read-only"):
+            windows[0, 0, 0] = 1.0
+
 
 class TestKnnShiftExhaustive:
     """The exhaustive search of one target, every other frame a candidate."""

@@ -61,6 +61,26 @@ class TestParams:
         with pytest.raises(tf.TransformError):
             tf.TransformParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(sample_rate=np.inf),
+            dict(sample_rate=np.nan),
+            dict(sample_rate=0.0),
+            dict(hop=256.5),
+            dict(window_length=2048.5),
+            dict(bins_per_octave=np.nan),
+            dict(bins_per_octave=np.inf),
+        ],
+    )
+    def test_bad_setting_named(self, kwargs):
+        # Each is named, not left to fail later: a non-finite rate or
+        # bins_per_octave inside n_bins (a NaN rate as if f_min were wrong),
+        # a fractional hop or window inside forward_logfreq.
+        (name,) = kwargs
+        with pytest.raises(tf.TransformError, match=f"^{name} "):
+            tf.TransformParams(**kwargs)
+
 
 class TestForward:
     def test_tone_at_f_min_peaks_in_bin_zero(self):
@@ -492,6 +512,12 @@ class TestCaches:
             tf.inverse_logfreq(spect.with_data(spect.data * 0.5))
         assert tf._analysis_kernel.cache_info().currsize == 1
         assert tf._mask_backmap.cache_info().currsize == 1
+
+    def test_cached_arrays_are_read_only(self, small_params):
+        # Every later analysis and resynthesis in the process reads them.
+        for part in (*tf._analysis_kernel(small_params), *tf._mask_backmap(small_params)):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0
 
 
 class TestPerBinPolicy:
