@@ -160,25 +160,12 @@ def _measure(sizes, k: int, seed: int) -> list[list[float]]:
     return spent
 
 
-def doubling_ratios(points) -> list[dict]:
-    """Timing ratios between consecutive sizes, tagged by what doubled."""
-    out = []
-    for a, b in zip(points, points[1:]):
-        entry = {
-            "from": (a.n_bins, a.n_frames, a.max_shift),
-            "to": (b.n_bins, b.n_frames, b.max_shift),
-        }
-        entry.update({name: getattr(b, name) / getattr(a, name) for name in STAGES})
-        out.append(entry)
-    return out
-
-
-def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
-
-
-def format_table(points) -> str:
+def report(points) -> str:
+    """The text ``sikam bench`` prints: a table of the points, each stage's
+    ratios between consecutive points, and the log-log slope of the baseline
+    against T per (F, delta) and of the shift stage against 2 * delta + 1
+    per (F, T), for each group of two or more points with distinct x values.
+    """
     header = (
         f"{'F':>5} {'T':>6} {'delta':>6} | "
         f"{'baseline_total':>15} {'shift_sim':>12} {'specmurt_sim':>13}"
@@ -190,6 +177,27 @@ def format_table(points) -> str:
             f"{p.baseline_total:>13.4f}s {p.shift_similarity:>10.4f}s "
             f"{p.specmurt_similarity:>11.4f}s"
         )
+    if len(points) > 1:
+        lines.append("\nratios between consecutive sizes:")
+    for a, b in zip(points, points[1:]):
+        lines.append(
+            f"  {(a.n_bins, a.n_frames, a.max_shift)} -> {(b.n_bins, b.n_frames, b.max_shift)}: "
+            f"baseline x{b.baseline_total / a.baseline_total:.2f}, "
+            f"shift-similarity x{b.shift_similarity / a.shift_similarity:.2f}, "
+            f"specmurt-similarity x{b.specmurt_similarity / a.specmurt_similarity:.2f}"
+        )
+    # each fitted group under the line that reports it, as (x, seconds) pairs
+    fits = {}
+    for p in points:
+        line = f"\nlog-log slope of baseline vs T (F={p.n_bins}, delta={p.max_shift})"
+        fits.setdefault(line, []).append((p.n_frames, p.baseline_total))
+    for p in points:
+        line = f"log-log slope of shift similarity vs (2*delta+1) (F={p.n_bins}, T={p.n_frames})"
+        fits.setdefault(line, []).append((2 * p.max_shift + 1, p.shift_similarity))
+    for line, pairs in fits.items():
+        if len(pairs) >= 2 and len({x for x, _ in pairs}) == len(pairs):
+            log_x, log_y = np.log(np.array(pairs, dtype=float)).T
+            lines.append(f"{line}: {np.polyfit(log_x, log_y, 1)[0]:.2f}")
     return "\n".join(lines)
 
 

@@ -288,32 +288,7 @@ def cmd_bench(args) -> int:
     except KernelError as exc:
         # bench has no input that a setting could be infeasible for
         raise UsageError(str(exc)) from exc
-    print(benchmod.format_table(points))
-    ratios = benchmod.doubling_ratios(points)
-    if ratios:
-        print("\nratios between consecutive sizes:")
-        for r in ratios:
-            print(
-                f"  {r['from']} -> {r['to']}: baseline x{r['baseline_total']:.2f}, "
-                f"shift-similarity x{r['shift_similarity']:.2f}, "
-                f"specmurt-similarity x{r['specmurt_similarity']:.2f}"
-            )
-    # (the sizes a group shares, the x of a point, the stage fitted, the printed line)
-    fits = (
-        (lambda p: (p.n_bins, p.max_shift), lambda p: p.n_frames, "baseline_total",
-         "\nlog-log slope of baseline vs T (F={}, delta={}): {:.2f}"),
-        (lambda p: (p.n_bins, p.n_frames), lambda p: 2 * p.max_shift + 1, "shift_similarity",
-         "log-log slope of shift similarity vs (2*delta+1) (F={}, T={}): {:.2f}"),
-    )
-    for group_key, x, stage, line in fits:
-        groups = {}
-        for p in points:
-            groups.setdefault(group_key(p), []).append(p)
-        for shared, group in groups.items():
-            xs = [x(p) for p in group]
-            if len(xs) >= 2 and len(set(xs)) == len(xs):
-                slope = benchmod.loglog_slope(xs, [getattr(p, stage) for p in group])
-                print(line.format(*shared, slope))
+    print(benchmod.report(points))
     if args.output:
         payload = [dataclasses.asdict(p) for p in points]
         _make_dir(Path(args.output).parent)

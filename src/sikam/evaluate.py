@@ -164,13 +164,15 @@ def sdr(reference, estimate, sample_mask=None) -> float:
     """Energy-ratio signal-to-distortion ratio in dB, capped at +100.
 
     ``10 * log10(sum(ref^2) / sum((ref - est)^2))`` over the (optionally
-    restricted) samples. Raises :class:`EvalError` when the reference carries
-    no energy on the restricted segment.
+    restricted) samples. Raises :class:`EvalError` for a NaN or infinite
+    sample, and when the reference carries no energy on the restricted segment.
     """
     ref = np.asarray(reference, dtype=np.float64)
     est = np.asarray(estimate, dtype=np.float64)
     if ref.shape != est.shape:
         raise EvalError("reference and estimate lengths differ")
+    if not (np.isfinite(ref).all() and np.isfinite(est).all()):
+        raise EvalError("reference and estimate must be finite")
     if sample_mask is not None:
         ref = ref[sample_mask]
         est = est[sample_mask]
@@ -296,31 +298,23 @@ def write_csv(results, path) -> None:
 
 
 def summary_table(results) -> str:
-    """Mean NSDR per variant and condition, as a plain-text table."""
-    conditions = []
-    for content in ("melody", "chords"):
-        for placement in ("repeated", "not_repeated"):
-            if any(r.content == content and r.placement == placement for r in results):
-                conditions.append((content, placement))
-    variants = []
+    """Mean NSDR per variant and condition, as a plain-text table; ``-`` marks an empty cell."""
+    nsdrs = {}  # variant -> {(content, placement): [nsdr, ...]}, in order of first appearance
     for r in results:
-        if r.variant not in variants:
-            variants.append(r.variant)
-    width = max([len(v) for v in variants] + [12])
-    header = " " * (width + 2) + "  ".join(
-        f"{c[:6]}/{p[:7]:>7}" for c, p in conditions
-    )
+        nsdrs.setdefault(r.variant, {}).setdefault((r.content, r.placement), []).append(r.nsdr)
+    conditions = [
+        (c, p)
+        for c in ("melody", "chords")
+        for p in ("repeated", "not_repeated")
+        if any((c, p) in cells for cells in nsdrs.values())
+    ]
+    width = max([len(v) for v in nsdrs] + [12])
+    header = " " * (width + 2) + "  ".join(f"{c[:6]}/{p[:7]:>7}" for c, p in conditions)
     lines = [header]
-    for variant in variants:
-        cells = []
-        for content, placement in conditions:
-            vals = [
-                r.nsdr
-                for r in results
-                if r.variant == variant
-                and r.content == content
-                and r.placement == placement
-            ]
-            cells.append(f"{np.mean(vals):14.2f}" if vals else f"{'-':>14}")
-        lines.append(f"{variant:<{width}}  " + "".join(cells))
+    for variant, cells in nsdrs.items():
+        row = "".join(
+            f"{np.mean(cells[cond]):14.2f}" if cond in cells else f"{'-':>14}"
+            for cond in conditions
+        )
+        lines.append(f"{variant:<{width}}  {row}")
     return "\n".join(lines)

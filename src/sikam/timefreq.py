@@ -316,7 +316,8 @@ def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
     ones, and the frames overlapping them, are resynthesized, in ascending
     blocks of :data:`INVERSE_BLOCK` frames; every sample outside the changed
     frames is returned as analysed. An unmodified spectrogram therefore
-    inverts to its input exactly.
+    inverts to its input exactly. Raises :class:`TransformError` for a NaN
+    or infinite coefficient.
     """
     if spect._signal is None or spect._base is None:
         raise TransformError(
@@ -330,6 +331,9 @@ def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
     params, x = spect.params, spect._signal
     win, hop = params.window_length, params.hop
     changed = np.flatnonzero(np.any(spect.data != spect._base, axis=0))
+    # the recorded coefficients are finite, so a NaN or inf one lies in a changed column
+    if not np.isfinite(spect.data[:, changed]).all():
+        raise TransformError("spectrogram holds non-finite coefficients")
     if len(changed) == 0:
         return x.copy()
     # Every frame sharing a sample with a changed frame, in ascending order.

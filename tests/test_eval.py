@@ -122,6 +122,15 @@ class TestSdr:
         mask[:50] = True
         assert evaluate.sdr(ref, est, mask) == 100.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("operand", ["reference", "estimate"])
+    def test_non_finite_samples_rejected(self, rng, operand, bad):
+        ref = rng.standard_normal(64)
+        est = ref + 0.1
+        (ref if operand == "reference" else est)[7] = bad
+        with pytest.raises(evaluate.EvalError, match="finite"):
+            evaluate.sdr(ref, est)
+
     @given(st.floats(0.01, 100.0))
     def test_scale_invariance(self, c):
         rng = np.random.default_rng(7)
@@ -211,6 +220,25 @@ class TestGrid:
         table = evaluate.summary_table(res)
         assert "baseline" in table and "specmurt" in table
         assert "melody" in table
+
+    def test_summary_table_marks_empty_cells_in_first_seen_order(self):
+        def result(variant, content, placement, nsdr):
+            return evaluate.EvalResult("s", content, placement, variant, 0.0, nsdr, nsdr)
+
+        res = [
+            result("specmurt", "chords", "repeated", 1.0),
+            result("baseline", "melody", "not_repeated", 2.0),
+            result("specmurt", "chords", "repeated", 2.0),
+            result("baseline", "chords", "repeated", -0.5),
+            # no column for a condition outside the grid, but a row for its variant
+            result("shift_exhaustive", "speech", "repeated", 9.0),
+        ]
+        assert evaluate.summary_table(res).split("\n") == [
+            "                  melody/not_rep  chords/repeate",
+            "specmurt                       -          1.50",
+            "baseline                    2.00         -0.50",
+            "shift_exhaustive               -             -",
+        ]
 
     def test_adapt_config_clamps_to_pool(self):
         cfg = SeparationConfig(k=300, surplus=600)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -329,6 +330,31 @@ class TestSeparate:
             kam.plan_neighbors(bad, config)
         with pytest.raises(kam.KernelError, match=gate):
             kam.separation_masks(bad, plan)
+
+
+class TestPlanMemory:
+    @pytest.mark.parametrize("variant", kam.VARIANTS)
+    def test_peak_memory_grows_with_the_targets_times_the_frames(self, rng, variant):
+        # Doubling the frames may add a few float64 per (target, added frame)
+        # and the added magnitude columns (the input checks and the specmurt
+        # matrix), never a T x T matrix of frame distances.
+        n_bins, targets, lengths = 232, 40, (2000, 4000)
+        support = range(1000, 1000 + targets)
+        config = kam.SeparationConfig(k=50, delta=12, variant=variant, support=support)
+        peaks = []
+        for n_frames in lengths:
+            mag = rng.random((n_bins, n_frames))
+            kam.plan_neighbors(mag, config)  # untraced, so caches fill outside the trace
+            tracemalloc.start()
+            try:
+                kam.plan_neighbors(mag, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        more_frames = lengths[1] - lengths[0]
+        allowed = 9 * 8 * targets * more_frames + n_bins * more_frames * 8 + 2**20  # 1 MiB slack
+        assert peaks[1] - peaks[0] <= allowed
+        assert (lengths[1] ** 2 - lengths[0] ** 2) * 8 > 5 * allowed
 
 
 class TestSeparationConfig:

@@ -273,6 +273,15 @@ class TestMasking:
         with pytest.raises(tf.TransformError):
             spect.with_data(np.ones((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mask_column_rejected(self, small_params, rng, bad):
+        # one such column would otherwise resynthesize every sample it reaches as NaN
+        spect = tf.forward_logfreq(rng.standard_normal(8000), small_params)
+        mask = np.ones(spect.data.shape)
+        mask[:, spect.n_frames // 2] = bad
+        with pytest.raises(tf.TransformError, match="non-finite"):
+            masked_inverse(spect, mask)
+
 
 def sparse_backmap(params):
     """The two-tap gain interpolation as a sparse (linear bins, log bins) matrix."""
