@@ -8,7 +8,7 @@ fast-deconvolution alignment and optional pruning. Soft masks derived from
 the estimate split the recording into source and interference signals.
 """
 
-from .kam import SeparationConfig, build_soft_mask, plan_neighbors, separate
+from .kam import SeparationConfig, plan_neighbors, separate
 from .shiftkam import shift_frame
 from .timefreq import (
     ComplexSpectrogram,
@@ -23,7 +23,6 @@ __all__ = [
     "ComplexSpectrogram",
     "SeparationConfig",
     "TransformParams",
-    "build_soft_mask",
     "forward_logfreq",
     "inverse_logfreq",
     "plan_neighbors",

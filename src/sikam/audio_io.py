@@ -91,6 +91,8 @@ def read_wav(path) -> tuple[np.ndarray, float, str]:
             f"cannot parse {path}: {channels} channels of {bits}-bit samples in "
             f"{align}-byte frames"
         )
+    if rate == 0:
+        raise AudioIOError(f"cannot parse {path}: sample rate of 0 Hz")
     if start + size > len(raw):
         raise AudioIOError(
             f"cannot parse {path}: truncated data chunk, {len(raw) - start} of {size} bytes"
@@ -108,14 +110,21 @@ def read_wav(path) -> tuple[np.ndarray, float, str]:
 def write_wav(path, samples, sample_rate: float, subtype: str = "pcm16") -> None:
     """Write float samples as 16-bit PCM (clipped) or 32-bit float.
 
-    ``samples`` has shape (n,) for mono or (n, channels). Non-finite samples
-    are rejected before the file is opened.
+    ``samples`` has shape (n,) for mono or (n, channels) with at least one
+    channel, and ``sample_rate`` is a whole number of Hz, at least 1. Other
+    shapes and rates, and non-finite samples, are rejected before the file
+    is opened.
     """
     samples = np.asarray(samples)
     if subtype not in _SAMPLE_TYPES:
         raise AudioIOError(f"unsupported write subtype {subtype!r}")
-    if samples.ndim not in (1, 2):
+    if samples.ndim not in (1, 2) or samples.ndim == 2 and samples.shape[1] == 0:
         raise AudioIOError(f"cannot write {path}: samples of shape {samples.shape}")
+    rate = float(sample_rate)
+    if not (rate >= 1 and rate.is_integer()):
+        raise AudioIOError(
+            f"cannot write {path}: sample rate {sample_rate!r} is not a whole number of Hz >= 1"
+        )
     bad = np.count_nonzero(~np.isfinite(samples))
     if bad:
         raise AudioIOError(
@@ -125,7 +134,7 @@ def write_wav(path, samples, sample_rate: float, subtype: str = "pcm16") -> None
         samples = np.clip(np.round(samples * 32768.0), -32768, 32767)
     data = samples.astype(_SAMPLE_TYPES[subtype])
     tag = _PCM if subtype == "pcm16" else _FLOAT
-    channels, rate = 1 if data.ndim == 1 else data.shape[1], int(sample_rate)
+    channels, rate = 1 if data.ndim == 1 else data.shape[1], int(rate)
     align = channels * data.itemsize
     try:
         fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, 8 * data.itemsize)

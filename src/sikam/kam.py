@@ -7,9 +7,10 @@ soft mask on the complex spectrogram. The kernels differ only in how they
 pick the (frame, shift) neighbors: the baseline and the exhaustive search
 (:mod:`sikam.shiftkam`, the baseline being its zero-shift case) and the
 specmurt searches (:mod:`sikam.specmurt`); estimation and masking are shared.
-:func:`plan_neighbors` is the one entry point of the searches; it,
-:func:`separation_masks` and :func:`build_soft_mask` share the one check of
-a magnitude matrix.
+:func:`plan_neighbors` is the one entry point of the searches; it and
+:func:`separation_masks` share the one check of a magnitude matrix, which
+also fixes its working dtype: any real matrix is planned and masked as its
+float64 copy.
 """
 
 from __future__ import annotations
@@ -77,10 +78,12 @@ class SeparationConfig:
 
 
 def _magnitudes(mag) -> np.ndarray:
-    """``mag`` as an array, if it is a 2-D matrix of finite nonnegative reals.
+    """``mag`` as a float64 array, if it is a 2-D matrix of finite nonnegative reals.
 
     Complex, string and object arrays are rejected before any comparison, so
-    the search never plans on a real part or fails inside numpy.
+    the search never plans on a real part or fails inside numpy. Every other
+    real dtype is cast here, so no later step subtracts booleans, wraps an
+    unsigned difference or rounds a mask to an integer or to float32.
     """
     data = np.asarray(mag)
     if (
@@ -89,7 +92,7 @@ def _magnitudes(mag) -> np.ndarray:
         or not np.all((data >= 0) & (data < np.inf))
     ):
         raise KernelError("magnitudes must be a finite nonnegative 2-D matrix of reals")
-    return data
+    return data.astype(np.float64, copy=False)
 
 
 def _medians(data: np.ndarray, frames: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -107,25 +110,6 @@ def _medians(data: np.ndarray, frames: np.ndarray, shifts: np.ndarray) -> np.nda
         stack = shift_frame(stack, shifts.ravel())
     kth = (frames.shape[1] - 1) // 2
     return np.partition(stack.reshape(len(data), *frames.shape), kth, axis=2)[:, :, kth]
-
-
-def build_soft_mask(s_est, x_mag) -> np.ndarray:
-    """Soft mask S / (N + S) with N = max(X - S, 0); zero where both vanish.
-
-    Entries lie in [0, 1], and equal exactly 1 wherever the estimate reaches
-    or exceeds the observed magnitude (and is itself nonzero). Raises
-    :class:`KernelError` unless both operands pass the magnitude check of
-    :func:`plan_neighbors` and have one shape.
-    """
-    s = _magnitudes(s_est).astype(np.float64, copy=False)
-    x = _magnitudes(x_mag).astype(np.float64, copy=False)
-    if s.shape != x.shape:
-        raise KernelError(f"shape mismatch: {s.shape} vs {x.shape}")
-    # mask = S / (max(X - S, 0) + S) = S / max(X, S), with 0/0 -> 0
-    denom = np.maximum(x, s)
-    mask = np.zeros_like(denom)
-    np.divide(s, denom, out=mask, where=denom > 0)
-    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,15 +173,20 @@ def separation_masks(mag, plan: Plan) -> np.ndarray:
 
     ``plan`` comes from :func:`plan_neighbors` on ``mag`` or on a matrix of
     its shape (the CLI plans all channels once), and ``mag`` is checked as
-    there. The medians are taken one target at a time, so that no (F, n, K)
+    there. A support frame's mask is S / (N + S) with S its median estimate
+    and N = max(X - S, 0), that is S / max(X, S): it lies in [0, 1], is 1
+    where the estimate reaches the observed magnitude X and 0 where both
+    vanish. The medians are taken one target at a time, so that no (F, n, K)
     stack of every target's neighbors is ever held.
     """
     data = _magnitudes(mag)
     est = np.empty((data.shape[0], len(plan)))
     for i, (frames, shifts) in enumerate(zip(plan.frames, plan.shifts)):
         est[:, i] = _medians(data, frames[None], shifts[None])[:, 0]
+    denom = np.maximum(data[:, plan.targets], est)
+    np.divide(est, denom, out=est, where=denom > 0)
     mask = np.ones_like(data)
-    mask[:, plan.targets] = build_soft_mask(est, data[:, plan.targets])
+    mask[:, plan.targets] = est
     return mask
 
 

@@ -130,7 +130,6 @@ def _exhaustive_search(data, targets, cands, k: int, delta: int) -> tuple[np.nda
     of the two (targets, k) results holds the neighbors of target i,
     closest first.
     """
-    data = np.asarray(data, dtype=float)
     targets = np.asarray(targets, dtype=int)
     n_bins, n_frames = data.shape
     energy = np.einsum("ij,ij->j", data, data)

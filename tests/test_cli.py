@@ -161,6 +161,32 @@ class TestAudioIO:
             write_wav(path, [0.1, np.nan, np.inf], 8000, subtype)
         assert not path.exists()
 
+    def test_zero_sample_rate_rejected(self, tmp_path, rng):
+        path = tmp_path / "x.wav"
+        write_wav(path, rng.standard_normal(800) * 0.1, 8000, "pcm16")
+        raw = bytearray(path.read_bytes())
+        raw[24:28] = bytes(4)  # the fmt chunk's sample rate
+        path.write_bytes(raw)
+        assert_unreadable(path, tmp_path, r"x\.wav: sample rate of 0 Hz")
+
+    @pytest.mark.parametrize(
+        "shape, rate, match",
+        [
+            ((10, 0), 8000, "samples of shape"),
+            ((10,), 0, "sample rate"),
+            ((10,), 0.5, "sample rate"),
+            ((10,), 22050.5, "sample rate"),
+            ((10,), float("nan"), "sample rate"),
+            ((10,), float("inf"), "sample rate"),
+        ],
+        ids=["no-channel", "zero-rate", "half-hertz", "fractional-rate", "nan-rate", "inf-rate"],
+    )
+    def test_unwritable_header_rejected(self, tmp_path, shape, rate, match):
+        path = tmp_path / "x.wav"
+        with pytest.raises(AudioIOError, match=match):
+            write_wav(path, np.zeros(shape), rate)
+        assert not path.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(AudioIOError):
             read_wav(tmp_path / "absent.wav")

@@ -147,46 +147,54 @@ class TestMedianEstimate:
         np.testing.assert_array_equal(median(mag, [(i, 0) for i in range(k)]), truth)
 
 
+def soft_mask(s, x):
+    """The mask ``separation_masks`` gives observed magnitudes ``x`` for estimate ``s``.
+
+    The matrix is ``[s | x]``, and target column i of ``x`` has column i of
+    ``s`` as its only neighbour, at shift 0: the median of one column is that
+    column bit for bit.
+    """
+    n = np.shape(s)[1]
+    plan = kam.Plan(np.arange(n, 2 * n), np.arange(n)[:, None], np.zeros((n, 1), dtype=int))
+    return kam.separation_masks(np.concatenate([s, x], axis=1), plan)[:, n:]
+
+
 class TestSoftMask:
     def test_estimate_equals_observation_gives_ones(self, rng):
         x = rng.random((5, 6)) + 0.1
-        mask = kam.build_soft_mask(x, x)
+        mask = soft_mask(x, x)
         np.testing.assert_array_equal(mask, np.ones_like(x))
 
     def test_zero_estimate_gives_zeros(self, rng):
         x = rng.random((5, 6))
-        assert not np.any(kam.build_soft_mask(np.zeros_like(x), x))
+        assert not np.any(soft_mask(np.zeros_like(x), x))
 
     def test_formula_value(self):
-        mask = kam.build_soft_mask(np.array([[3.0]]), np.array([[5.0]]))
+        mask = soft_mask(np.array([[3.0]]), np.array([[5.0]]))
         assert mask[0, 0] == pytest.approx(0.6)
 
     def test_zero_over_zero_is_zero(self):
-        mask = kam.build_soft_mask(np.array([[0.0]]), np.array([[0.0]]))
+        mask = soft_mask(np.array([[0.0]]), np.array([[0.0]]))
         assert mask[0, 0] == 0.0
 
     def test_saturation_where_estimate_dominates(self, rng):
         s = rng.random((4, 4)) + 0.5
         x = s * 0.7
-        np.testing.assert_array_equal(kam.build_soft_mask(s, x), np.ones_like(s))
+        np.testing.assert_array_equal(soft_mask(s, x), np.ones_like(s))
 
     @given(
         arrays(np.float64, (4, 5), elements=st.floats(0, 100, allow_nan=False)),
         arrays(np.float64, (4, 5), elements=st.floats(0, 100, allow_nan=False)),
     )
     def test_mask_bounds(self, s, x):
-        mask = kam.build_soft_mask(s, x)
+        mask = soft_mask(s, x)
         assert np.all(mask >= 0.0) and np.all(mask <= 1.0)
         saturated = (s >= x) & (s > 0)
         assert np.array_equal(mask == 1.0, saturated)
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(kam.KernelError):
-            kam.build_soft_mask(np.ones((2, 2)), np.ones((3, 3)))
-
     def test_negative_inputs_rejected(self):
         with pytest.raises(kam.KernelError):
-            kam.build_soft_mask(-np.ones((2, 2)), np.ones((2, 2)))
+            soft_mask(-np.ones((2, 2)), np.ones((2, 2)))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("operand", ["estimate", "observed"])
@@ -194,14 +202,36 @@ class TestSoftMask:
         "bad", [-1.0, np.nan, np.inf, 1.0 + 1.0j], ids=["negative", "nan", "inf", "complex"]
     )
     def test_bad_magnitudes_rejected(self, operand, bad):
+        # a bad neighbour column or a bad target column, caught before any median
         good, worse = np.ones((1, 2)), np.array([[1.0, bad]])
         s, x = (worse, good) if operand == "estimate" else (good, worse)
         with pytest.raises(kam.KernelError, match="finite nonnegative"):
-            kam.build_soft_mask(s, x)
+            soft_mask(s, x)
 
     def test_integer_magnitudes_divide(self):
-        mask = kam.build_soft_mask(np.array([[3, 0]]), np.array([[5, 0]]))
+        mask = soft_mask(np.array([[3, 0]]), np.array([[5, 0]]))
         np.testing.assert_array_equal(mask, [[0.6, 0.0]])
+
+    @pytest.mark.parametrize("variant", kam.VARIANTS)
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_, np.float32])
+    def test_any_real_dtype_plans_and_masks_like_float64(self, rng, variant, dtype):
+        # uint8 values up to 200 wrap in an unsigned difference, booleans
+        # cannot be subtracted, and an integer mask truncates 0.75 to 0.
+        config = kam.SeparationConfig(
+            k=5, delta=3, surplus=5, variant=variant, support={3, 17, 18, 31}
+        )
+        for _ in range(5):
+            mag = rng.random((24, 40)) * 200
+            mag = (mag > 100 if dtype is np.bool_ else mag).astype(dtype)
+            plan = kam.plan_neighbors(mag, config)
+            expected = kam.plan_neighbors(mag.astype(np.float64), config)
+            for name in ("targets", "frames", "shifts"):
+                np.testing.assert_array_equal(getattr(plan, name), getattr(expected, name))
+            mask = kam.separation_masks(mag, plan)
+            assert mask.dtype == np.float64
+            np.testing.assert_array_equal(
+                mask, kam.separation_masks(mag.astype(np.float64), expected)
+            )
 
 
 class TestSeparate:

@@ -11,7 +11,6 @@ PUBLIC_NAMES = {
     "ComplexSpectrogram",
     "SeparationConfig",
     "TransformParams",
-    "build_soft_mask",
     "forward_logfreq",
     "inverse_logfreq",
     "plan_neighbors",
@@ -21,7 +20,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_surface_is_pinned_and_resolves():
-    assert len(sikam.__all__) == len(PUBLIC_NAMES) == 9
+    assert len(sikam.__all__) == len(PUBLIC_NAMES) == 8
     assert set(sikam.__all__) == PUBLIC_NAMES
     for name in sikam.__all__:
         assert getattr(sikam, name) is not None, name
