@@ -8,12 +8,13 @@ fast deconvolution between the two magnitude columns, and an optional
 pruning stage re-ranks an oversampled pool by true aligned distance.
 
 All targets are searched together: their pools are the baseline search of
-:mod:`sikam.shiftkam` run once on the specmurt matrix, and the real
-half-spectrum of every pooled frame is taken once and shared by all
-deconvolutions, as is one zero-padded copy of the pooled frames that the
-re-rank reads its shifted columns from. That search is the one place the
-deconvolution runs. It and :func:`specmurt_matrix` check no input:
-:func:`sikam.kam.plan_neighbors` does, before any search runs.
+:mod:`sikam.shiftkam` run once on the specmurt matrix. The conjugated real
+half-spectrum of every pooled frame and the reciprocal of its power are
+taken once and shared by all deconvolutions, as is one zero-padded copy of
+the pooled frames that the re-rank reads its shifted columns from. That
+search is the one place the deconvolution runs. It and
+:func:`specmurt_matrix` check no input: :func:`sikam.kam.plan_neighbors`
+does, before any search runs.
 """
 
 from __future__ import annotations
@@ -40,12 +41,14 @@ def specmurt_matrix(mag) -> np.ndarray:
 
 
 def _inverse_spectra(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real half-spectrum ``v`` of each column, one row per column, and ``|v|^2 + eps^2``.
+    """Conjugate ``conj(v)`` of each column's real half-spectrum ``v``, one row
+    per column, and ``1 / (|v|^2 + eps^2)``.
 
     ``v`` is the ``rfft`` of the column, bins 0 to n // 2. ``eps`` is one per
     column, 1e-8 of its largest ``|v|``, which the half-spectrum holds as the
-    whole one does; the power is squared in the modulus's buffer. A silent
-    column gets ``eps = 1``, so its quotient, its ``|h|`` and its lag are 0.
+    whole one does; the power is squared and inverted in the modulus's
+    buffer. A silent column gets ``eps = 1``, so its quotient, its ``|h|``
+    and its lag are 0.
     """
     v = np.fft.rfft(cols.T, axis=1)
     power = np.abs(v)
@@ -53,25 +56,33 @@ def _inverse_spectra(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eps[eps == 0] = 1.0
     power **= 2
     power += eps[:, None] ** 2
-    return v, power
+    np.reciprocal(power, out=power)
+    # C order, so that a row's real and imaginary parts can be viewed as
+    # pairs of floats; rfft along the rows of a transposed matrix is not.
+    return np.conjugate(v, order="C"), power
 
 
 def _deconvolve(
-    u: np.ndarray, v: np.ndarray, power: np.ndarray, n: int
+    w: np.ndarray, v: np.ndarray, inv_power: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``y = h * z`` (circular) for ``h`` against several columns ``z`` of n bins.
 
-    ``u`` is the real half-spectrum of ``y`` and ``v``, ``power`` the rows
-    :func:`_inverse_spectra` gives for the columns; ``v`` is overwritten
-    by ``u * conj(v) / power``, half of a Hermitian spectrum whose inverse
-    ``h`` is real. n is passed because an odd and an even length can have
-    half-spectra of one size. Returns the shift per column that aligns it
-    to ``y`` through :func:`shift_frame`, in ``[-n/2, n/2)``, and the
-    (columns, n) matrix of ``|h|``.
+    ``w`` is the row :func:`_inverse_spectra` gives for ``y``, so
+    ``conj(w)`` is the real half-spectrum ``u`` of ``y``, and ``v``,
+    ``inv_power`` the C-ordered rows it gives for the columns. ``v`` is
+    overwritten by ``u * v * inv_power``, the quotient ``u * conj(v_z) /
+    power`` that is half of a Hermitian spectrum whose inverse ``h`` is
+    real. Scaling each (real, imaginary) pair by ``inv_power`` rounds as
+    that division does: numpy divides by a complex number with no imaginary
+    part as a product with the reciprocal of its real part. n is passed
+    because an odd and an even length can have half-spectra of one size.
+    Returns the shift per column that aligns it to ``y`` through
+    :func:`shift_frame`, in ``[-n/2, n/2)``, and the (columns, n) matrix of
+    ``|h|``.
     """
-    np.conjugate(v, out=v)
-    np.multiply(u, v, out=v)
-    np.divide(v, power, out=v)
+    np.multiply(np.conjugate(w), v, out=v)
+    pairs = v.view(np.float64).reshape(*v.shape, 2)
+    pairs *= inv_power[..., None]
     mags = np.fft.irfft(v, n, axis=1)
     np.abs(mags, out=mags)
     # h peaks at the negated displacement of z relative to y; negate it so
@@ -103,13 +114,13 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     # 38-target plan's tracemalloc peak from 37.9 to 64.9 MB.
     used = np.union1d(pools, targets)
     cols = data[:, used]
-    v, power = _inverse_spectra(cols)
+    v, inv_power = _inverse_spectra(cols)
     windows = _shift_windows(cols.T, max_shift)
     found = np.empty((2, len(targets), k), dtype=int)
     for i, (target, frames) in enumerate(zip(targets, pools)):
         at = np.searchsorted(used, frames)
-        u = v[np.searchsorted(used, target)]
-        shifts = np.clip(_deconvolve(u, v[at], power[at], n_bins)[0], -max_shift, max_shift)
+        w = v[np.searchsorted(used, target)]
+        shifts = np.clip(_deconvolve(w, v[at], inv_power[at], n_bins)[0], -max_shift, max_shift)
         # One C-ordered row per pool frame, the values shift_frame gives; the
         # batched row dot products are the same sums as np.dot on each row,
         # so distances match a per-frame loop.

@@ -7,8 +7,11 @@ integer number of bins translates its spectral pattern vertically. Every
 kernel row is even (real part) and odd (imaginary part) about the window
 centre, so the forward transform folds each frame about its centre and does
 half the multiply-adds; it runs over blocks of frames taken from one strided
-view of the signal, never holding the whole frame matrix. The analysed
-samples are kept alongside the log-domain coefficients.
+view of the signal, never holding the whole frame matrix. The even half
+(real parts) and the odd half (imaginary parts) are independent: where the
+process may run on two CPUs, one extra thread computes the odd half while
+the caller computes the even one, over the same blocks and so to the same
+bits. The analysed samples are kept alongside the log-domain coefficients.
 Resynthesis finds the frames whose coefficients a mask changed, takes the
 plain linear-frequency STFT of those frames and their overlapping
 neighbours from the kept samples, derives per-bin gains in the log domain,
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import functools
 import operator
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -148,8 +153,11 @@ class ComplexSpectrogram:
 
 # Frames per block of the forward transform. At the defaults blocks of 128 to
 # 512 frames ran equally fast (one BLAS thread, 20 s of audio), and 64 or 1024
-# ran slower; 256 keeps a block's folded frames (2 x 256 x 2048 float64, 8 MB)
-# far below the output of a long input.
+# ran slower. Each half of the transform holds one block's buffers, a fold of
+# 256 x 2048 and a product of 256 x 232 float64, about 4.5 MiB; both halves'
+# are alive at once, far below the output of a long input. The boundaries fix
+# the coefficients' bits: a block of one frame rounds differently from the
+# same frame in a longer block.
 FORWARD_BLOCK = 256
 
 # Kept frames per block of the inverse. At the defaults, on 10 s of audio with
@@ -249,6 +257,44 @@ def _frame_view(signal: np.ndarray, params: TransformParams) -> np.ndarray:
     return view[::hop][: n_frames_for(params, len(signal))]
 
 
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_views(frames, half, out) -> list[tuple]:
+    """Everything one half of the forward transform works through, per block.
+
+    For each block of FORWARD_BLOCK frames: the first ``h`` taps of the
+    frames and of the mirrored frames, ``h`` being the kernel ``half``'s
+    row count; the block's rows of a fold and a product buffer, which all
+    blocks share; and its rows of ``out``.
+    """
+    n_taps, n_bins = half.shape
+    rows = min(FORWARD_BLOCK, len(frames))
+    folded, product = np.empty((rows, n_taps)), np.empty((rows, n_bins))
+    views = []
+    for start in range(0, len(frames), FORWARD_BLOCK):
+        block = frames[start : start + FORWARD_BLOCK]
+        rows = len(block)
+        head, mirrored = block[:, :n_taps], block[:, ::-1][:, :n_taps]
+        views.append((head, mirrored, folded[:rows], product[:rows], out[start : start + rows]))
+    return views
+
+
+def _project_half(fold, half, views) -> None:
+    """One half of the forward transform, over the views of
+    :func:`_block_views`: each block is folded about the window centre by
+    ``fold`` (``np.add`` for the even part, ``np.subtract`` for the odd),
+    multiplied by the kernel ``half`` and copied into its output rows."""
+    for head, mirrored, folded, product, out in views:
+        fold(head, mirrored, out=folded)
+        np.matmul(folded, half, out=product)
+        np.copyto(out, product)
+
+
 def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
     """Analyze a mono signal into a complex log-frequency spectrogram.
 
@@ -278,17 +324,34 @@ def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
             f"signal too short: {len(x)} samples, need >= {params.window_length}"
         )
     cos_half, sin_half = _analysis_kernel(params)
-    n_even, n_odd = cos_half.shape[0], sin_half.shape[0]
-    # Each block of frames is folded about the window centre into its even
-    # and odd parts, which meet the cosine and sine halves of the kernel.
     frames = _frame_view(x, params)
     coeffs = np.empty((len(frames), params.n_bins), dtype=np.complex128)
-    for start in range(0, len(frames), FORWARD_BLOCK):
-        block = frames[start : start + FORWARD_BLOCK]
-        mirrored = block[:, ::-1]
-        stop = start + len(block)
-        coeffs.real[start:stop] = (block[:, :n_even] + mirrored[:, :n_even]) @ cos_half
-        coeffs.imag[start:stop] = (block[:, :n_odd] - mirrored[:, :n_odd]) @ sin_half
+    # Every buffer and view either half uses is made here, in the calling
+    # thread, so that the worker allocates nothing: a block the worker
+    # allocates is freed by whichever thread drops it last, which moves the
+    # caller's later allocations from one run to the next.
+    even = (np.add, cos_half, _block_views(frames, cos_half, coeffs.real))
+    odd = (np.subtract, sin_half, _block_views(frames, sin_half, coeffs.imag))
+    if _cpu_count() < 2:
+        _project_half(*even)
+        _project_half(*odd)
+    else:
+        failure = []
+
+        def run_odd():
+            try:
+                _project_half(*odd)
+            except BaseException as exc:  # raised again below, in the caller
+                failure.append(exc)
+
+        worker = threading.Thread(target=run_odd)
+        worker.start()
+        try:
+            _project_half(*even)
+        finally:
+            worker.join()
+        if failure:
+            raise failure[0]
     log_data = coeffs.T
     return ComplexSpectrogram(
         data=log_data,

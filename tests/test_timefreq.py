@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -207,6 +208,54 @@ class TestFoldedForward:
         allowed = more_frames * per_frame + 2 * more_samples * 8 + 2**20  # 1 MiB of slack
         assert peaks[1] - peaks[0] <= allowed
         assert more_frames * params.window_length * 8 > allowed
+
+
+def with_cpus(monkeypatch, cpus):
+    """Make the forward transform see ``cpus`` as the CPUs it may run on."""
+    monkeypatch.setattr(tf.os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+class TestTwoThreadForward:
+    """With two CPUs a second thread computes the odd half of the forward
+    transform; the coefficients must be the one-CPU ones, bit for bit."""
+
+    @pytest.mark.parametrize("sample_rate", [8000.0, 44100.0])
+    @pytest.mark.parametrize(
+        "frames",
+        [tf.FORWARD_BLOCK - 1, tf.FORWARD_BLOCK, tf.FORWARD_BLOCK + 1, 2 * tf.FORWARD_BLOCK + 3],
+        ids=["block-1", "block", "block+1", "2block+3"],
+    )
+    def test_bits_do_not_depend_on_the_thread(self, monkeypatch, sample_rate, frames, rng):
+        params = tf.TransformParams(sample_rate=sample_rate)
+        x = rng.standard_normal((frames - 1) * params.hop + 1)
+        coeffs = []
+        for cpus in ([0], [0, 1]):
+            with_cpus(monkeypatch, cpus)
+            spect = tf.forward_logfreq(x, params)
+            assert spect.n_frames == frames
+            coeffs.append(spect.data.T.view(np.uint64))  # the (T, F) buffer, word by word
+        np.testing.assert_array_equal(coeffs[0], coeffs[1])
+
+    def test_no_thread_outlives_a_call(self, monkeypatch, small_params, rng):
+        with_cpus(monkeypatch, [0, 1])
+        before = threading.active_count()
+        tf.forward_logfreq(rng.standard_normal(4000), small_params)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [[0], [0, 1]], ids=["one-cpu", "two-cpus"])
+    def test_failure_in_the_odd_half_raises_in_the_caller(
+        self, monkeypatch, cpus, small_params, rng
+    ):
+        # A sine half one bin short fails only the odd half, on the worker
+        # thread when there are two CPUs; the coefficients would otherwise
+        # be returned half unwritten.
+        cos_half, sin_half = tf._analysis_kernel(small_params)
+        monkeypatch.setattr(tf, "_analysis_kernel", lambda params: (cos_half, sin_half[:, :-1]))
+        with_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(ValueError):
+            tf.forward_logfreq(rng.standard_normal(4000), small_params)
+        assert threading.active_count() == before
 
 
 class TestRoundTrip:
