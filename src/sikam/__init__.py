@@ -8,9 +8,20 @@ fast-deconvolution alignment and optional pruning. Soft masks derived from
 the estimate split the recording into source and interference signals.
 """
 
-from .kam import SeparationConfig, plan_neighbors, separate
-from .shiftkam import shift_frame
-from .timefreq import (
+import os
+
+# The thread counts of the BLAS and OpenMP builds numpy may use, read once
+# when numpy loads; each is set to one wherever the environment leaves it
+# unset and this package is imported before numpy. The forward transform
+# already runs on two threads, BLAS threads on top of those oversubscribe the
+# cores, and small products stall with more than one.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in _THREAD_VARIABLES:
+    os.environ.setdefault(_name, "1")
+
+from .kam import SeparationConfig, plan_neighbors, separate  # noqa: E402
+from .shiftkam import shift_frame  # noqa: E402
+from .timefreq import (  # noqa: E402
     ComplexSpectrogram,
     TransformParams,
     forward_logfreq,

@@ -27,15 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kam, shiftkam, specmurt
+from . import _THREAD_VARIABLES, kam, shiftkam, specmurt
 from .shiftkam import KernelError
 
 # The timed stages, named as the BenchPoint fields that hold their times.
 STAGES = ("baseline_total", "shift_similarity", "specmurt_similarity")
-
-# Thread counts of the BLAS and OpenMP builds numpy may use; the measuring
-# interpreter runs each with one thread.
-_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -112,6 +108,7 @@ def run_bench(sizes, k: int = 16, reps: int = 3, seed: int = 0) -> list[BenchPoi
                 f"size {n_bins}:{n_frames}:{max_shift} with k={k} needs at least 2 bins, "
                 "a shift range in [0, bins] and k in [1, frames)"
             )
+    # one BLAS and OpenMP thread each, whatever the environment says
     env = {**os.environ, **dict.fromkeys(_THREAD_VARIABLES, "1")}
     # the measuring interpreter imports this very package
     paths = (str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))

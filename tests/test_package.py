@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -36,6 +37,25 @@ def test_import_leaves_the_evaluation_harness_out():
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "set"])
+def test_import_defaults_blas_threads_to_one(preset):
+    # Imported before numpy, the package sets each BLAS and OpenMP thread
+    # count the environment leaves unset to one, and keeps a set one.
+    src = str(Path(sikam.__file__).resolve().parents[1])
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in names}
+    if preset is not None:
+        env.update(dict.fromkeys(names, preset))
+    code = (
+        f"import os, sys\nsys.path.insert(0, {src!r})\nimport sikam\n"
+        f"print([os.environ[name] for name in {names!r}])"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == str([preset or "1"] * len(names))
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")

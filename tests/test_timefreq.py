@@ -210,14 +210,25 @@ class TestFoldedForward:
         assert more_frames * params.window_length * 8 > allowed
 
 
-def with_cpus(monkeypatch, cpus):
-    """Make the forward transform see ``cpus`` as the CPUs it may run on."""
-    monkeypatch.setattr(tf.os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+def one_thread_forward(x, params):
+    """The folded forward transform computed by this thread alone, block by
+    block as :func:`tf.forward_logfreq` does, as a (T, F) complex array."""
+    cos_half, sin_half = tf._analysis_kernel(params)
+    frames = tf._frame_view(x, params)
+    coeffs = np.empty((len(frames), params.n_bins), dtype=np.complex128)
+    n_even, n_odd = len(cos_half), len(sin_half)
+    for start in range(0, len(frames), tf.FORWARD_BLOCK):
+        block = frames[start : start + tf.FORWARD_BLOCK]
+        mirrored = block[:, ::-1]
+        stop = start + len(block)
+        coeffs.real[start:stop] = (block[:, :n_even] + mirrored[:, :n_even]) @ cos_half
+        coeffs.imag[start:stop] = (block[:, :n_odd] - mirrored[:, :n_odd]) @ sin_half
+    return coeffs
 
 
 class TestTwoThreadForward:
-    """With two CPUs a second thread computes the odd half of the forward
-    transform; the coefficients must be the one-CPU ones, bit for bit."""
+    """A second thread computes the odd half of the forward transform; the
+    coefficients must be those of one thread doing both halves, bit for bit."""
 
     @pytest.mark.parametrize("sample_rate", [8000.0, 44100.0])
     @pytest.mark.parametrize(
@@ -225,33 +236,25 @@ class TestTwoThreadForward:
         [tf.FORWARD_BLOCK - 1, tf.FORWARD_BLOCK, tf.FORWARD_BLOCK + 1, 2 * tf.FORWARD_BLOCK + 3],
         ids=["block-1", "block", "block+1", "2block+3"],
     )
-    def test_bits_do_not_depend_on_the_thread(self, monkeypatch, sample_rate, frames, rng):
+    def test_bits_do_not_depend_on_the_thread(self, sample_rate, frames, rng):
         params = tf.TransformParams(sample_rate=sample_rate)
         x = rng.standard_normal((frames - 1) * params.hop + 1)
-        coeffs = []
-        for cpus in ([0], [0, 1]):
-            with_cpus(monkeypatch, cpus)
-            spect = tf.forward_logfreq(x, params)
-            assert spect.n_frames == frames
-            coeffs.append(spect.data.T.view(np.uint64))  # the (T, F) buffer, word by word
-        np.testing.assert_array_equal(coeffs[0], coeffs[1])
+        spect = tf.forward_logfreq(x, params)
+        assert spect.n_frames == frames
+        np.testing.assert_array_equal(  # the (T, F) buffers, word by word
+            spect.data.T.view(np.uint64), one_thread_forward(x, params).view(np.uint64)
+        )
 
-    def test_no_thread_outlives_a_call(self, monkeypatch, small_params, rng):
-        with_cpus(monkeypatch, [0, 1])
+    def test_no_thread_outlives_a_call(self, small_params, rng):
         before = threading.active_count()
         tf.forward_logfreq(rng.standard_normal(4000), small_params)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("cpus", [[0], [0, 1]], ids=["one-cpu", "two-cpus"])
-    def test_failure_in_the_odd_half_raises_in_the_caller(
-        self, monkeypatch, cpus, small_params, rng
-    ):
+    def test_failure_in_the_odd_half_raises_in_the_caller(self, monkeypatch, small_params, rng):
         # A sine half one bin short fails only the odd half, on the worker
-        # thread when there are two CPUs; the coefficients would otherwise
-        # be returned half unwritten.
+        # thread; the coefficients would otherwise be returned half unwritten.
         cos_half, sin_half = tf._analysis_kernel(small_params)
         monkeypatch.setattr(tf, "_analysis_kernel", lambda params: (cos_half, sin_half[:, :-1]))
-        with_cpus(monkeypatch, cpus)
         before = threading.active_count()
         with pytest.raises(ValueError):
             tf.forward_logfreq(rng.standard_normal(4000), small_params)
