@@ -11,8 +11,10 @@ All targets are searched together: their pools are the baseline search of
 :mod:`sikam.shiftkam` run once on the specmurt matrix. The conjugated real
 half-spectrum of every pooled frame and the reciprocal of its power are
 taken once and shared by all deconvolutions, as is one zero-padded copy of
-the pooled frames that the re-rank reads its shifted columns from. That
-search is the one place the deconvolution runs. It and
+the pooled frames that the re-rank reads its shifted columns from; above
+:data:`SPLIT_POOL_ENTRIES` two threads each deconvolve and score one half
+of every pool's columns, to the same bits. That search is the one place
+the deconvolution runs. It and
 :func:`specmurt_matrix` check no input: :func:`sikam.kam.plan_neighbors`
 does, before any search runs.
 """
@@ -27,6 +29,15 @@ from .shiftkam import (
     _top_k,
     shift_frame,  # the primitive every returned shift is defined for; no call here
 )
+from .timefreq import _two_threads
+
+# Pool columns x bins from which each target's pool is scored in two halves,
+# one per thread. Means of plan times on a shared 2-core VM, one BLAS thread:
+# an eval-grid scene's pools of 85-87 x 208 took 7.8 ms on two threads against
+# 6.1 ms on one, and of 171-175 x 208 about as long (9.1-10.7 against
+# 10.5-11.5 ms); a 20 s melody's pools of 300 and 900 x 232 took 30 against
+# 41 ms and 77 against 113 ms.
+SPLIT_POOL_ENTRIES = 2**16
 
 
 def specmurt_matrix(mag) -> np.ndarray:
@@ -98,13 +109,15 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     :func:`specmurt_matrix` of ``data``. The half-spectra of the targets
     and of every pooled frame are taken once, and so is one zero-padded
     copy of those frames with every shift in ``[-max_shift, max_shift]`` as
-    a view. Each target then divides and transforms back its own pool
-    columns in one call (a silent target or column gets shift 0), clamps the
-    shifts to ``[-max_shift, max_shift]``, gathers its aligned columns
-    from that view and keeps the k closest to the target; with
-    ``surplus=0`` that only re-ranks the pool (the ``specmurt`` variant).
-    Callers make sure k >= 1 and that each target keeps at least
-    k + surplus candidates.
+    a view. Each target then divides and transforms back its pool columns
+    (a silent target or column gets shift 0), clamps the shifts to
+    ``[-max_shift, max_shift]``, gathers its aligned columns from that view
+    and scores them against the target; a pool of at least
+    :data:`SPLIT_POOL_ENTRIES` columns x bins is scored in two halves of
+    columns, one per thread, each column to the same bits. Each target
+    keeps the k closest; with ``surplus=0`` that only re-ranks the pool
+    (the ``specmurt`` variant). Callers make sure k >= 1 and that each
+    target keeps at least k + surplus candidates.
     """
     targets = np.asarray(targets, dtype=int)
     n_bins = data.shape[0]
@@ -116,16 +129,29 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     cols = data[:, used]
     v, inv_power = _inverse_spectra(cols)
     windows = _shift_windows(cols.T, max_shift)
+    at, target_rows = np.searchsorted(used, pools), v[np.searchsorted(used, targets)]
+    shifts = np.empty(pools.shape, dtype=int)
+    dists = np.empty(pools.shape)
+
+    def rerank(part: slice) -> None:
+        for i, target in enumerate(targets.tolist()):
+            here = at[i, part]
+            lags = _deconvolve(target_rows[i], v[here], inv_power[here], n_bins)[0]
+            lags = np.clip(lags, -max_shift, max_shift)
+            # One C-ordered row per pool frame, the values shift_frame gives;
+            # the batched row dot products are the same sums as np.dot on
+            # each row, so distances match a per-frame loop.
+            diff = windows[here, max_shift + lags]
+            diff -= data[:, target]
+            dists[i, part] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+            shifts[i, part] = lags
+
+    if pools.shape[1] * n_bins >= SPLIT_POOL_ENTRIES:
+        half = (pools.shape[1] + 1) // 2
+        _two_threads(lambda: rerank(slice(half)), lambda: rerank(slice(half, None)))
+    else:
+        rerank(slice(None))
     found = np.empty((2, len(targets), k), dtype=int)
-    for i, (target, frames) in enumerate(zip(targets, pools)):
-        at = np.searchsorted(used, frames)
-        w = v[np.searchsorted(used, target)]
-        shifts = np.clip(_deconvolve(w, v[at], inv_power[at], n_bins)[0], -max_shift, max_shift)
-        # One C-ordered row per pool frame, the values shift_frame gives; the
-        # batched row dot products are the same sums as np.dot on each row,
-        # so distances match a per-frame loop.
-        diff = windows[at, max_shift + shifts]
-        diff -= data[:, target]
-        dists = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
-        found[:, i] = _top_k(dists, frames, shifts, k)
+    for i, frames in enumerate(pools):
+        found[:, i] = _top_k(dists[i], frames, shifts[i], k)
     return found[0], found[1]

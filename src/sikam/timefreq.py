@@ -270,6 +270,33 @@ def _project_half(fold, half, frames, folded, product, out) -> None:
         out[start : start + rows] = product[:rows]
 
 
+def _two_threads(first, second) -> tuple:
+    """Run ``second()`` on a worker thread and ``first()`` in the caller.
+
+    Returns both results. The worker is joined before this returns, also
+    when ``first`` raises, and an exception the worker raised is raised
+    again here, in the caller. The forward transform and the neighbor
+    searches split their work with it.
+    """
+    done, failure = [], []
+
+    def run():
+        try:
+            done.append(second())
+        except BaseException as exc:  # raised again below, in the caller
+            failure.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        here = first()
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+    return here, done[0]
+
+
 def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
     """Analyze a mono signal into a complex log-frequency spectrogram.
 
@@ -309,22 +336,9 @@ def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
     even = (np.add, cos_half, frames, np.empty((rows, len(cos_half))), np.empty((rows, n_bins)))
     odd = (np.subtract, sin_half, frames, np.empty((rows, len(sin_half))), np.empty((rows, n_bins)))
     coeffs = np.empty((len(frames), n_bins), dtype=np.complex128)
-    failure = []
-
-    def run_odd():
-        try:
-            _project_half(*odd, coeffs.imag)
-        except BaseException as exc:  # raised again below, in the caller
-            failure.append(exc)
-
-    worker = threading.Thread(target=run_odd)
-    worker.start()
-    try:
-        _project_half(*even, coeffs.real)
-    finally:
-        worker.join()
-    if failure:
-        raise failure[0]
+    _two_threads(
+        lambda: _project_half(*even, coeffs.real), lambda: _project_half(*odd, coeffs.imag)
+    )
     log_data = coeffs.T
     return ComplexSpectrogram(
         data=log_data,

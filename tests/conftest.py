@@ -44,6 +44,26 @@ def make_transposition_suite(n_offsets=24, sr=22050.0, f0=220.0):
     return np.stack(cols, axis=1), n_offsets
 
 
+def near_tie_matrix(rng, n_bins, n_frames):
+    """Frames whose distances to a flat target tie in exact arithmetic.
+
+    Frame 0 is flat; every other frame holds a random pattern (odd frames) or
+    the previous frame's pattern reversed (even frames) near the middle of
+    the bins. Every shift that keeps the pattern inside the bins, and both
+    orientations, give the same distance to frame 0; only rounding tells them
+    apart, and the matrix-product form rounds differently.
+    """
+    mag = np.zeros((n_bins, n_frames))
+    mag[:, 0] = 0.5
+    quarter = n_bins // 4
+    pattern = None
+    for j in range(1, n_frames):
+        pattern = rng.random(n_bins - 2 * quarter) if j % 2 else pattern[::-1]
+        start = quarter + int(rng.integers(-quarter // 2, quarter // 2 + 1))
+        mag[start : start + len(pattern), j] = pattern
+    return mag
+
+
 def neighbor_lists(plan):
     """Each target of a :class:`kam.Plan` with its (frame, shift) neighbors, closest first."""
     return {

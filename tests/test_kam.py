@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -7,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import search_one
+from conftest import near_tie_matrix, search_one
 
-from sikam import kam
+from sikam import kam, shiftkam, specmurt, timefreq
 from sikam.shiftkam import shift_frame
 from sikam.timefreq import forward_logfreq
 
@@ -385,6 +387,168 @@ class TestPlanMemory:
         allowed = 9 * 8 * targets * more_frames + n_bins * more_frames * 8 + 2**20  # 1 MiB slack
         assert peaks[1] - peaks[0] <= allowed
         assert (lengths[1] ** 2 - lengths[0] ** 2) * 8 > 5 * allowed
+
+
+def plans_both_ways(monkeypatch, mag, config):
+    """The plan of ``config`` with both gates closed and with both open, and
+    how many searches the second one split between two threads."""
+    monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", np.inf)
+    monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", np.inf)
+    serial = kam.plan_neighbors(mag, config)
+    splits = []
+
+    def counted(first, second):
+        splits.append(1)
+        return timefreq._two_threads(first, second)
+
+    for module in (kam, specmurt):
+        monkeypatch.setattr(module, "_two_threads", counted)
+    monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", 0)
+    monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", 0)
+    return serial, kam.plan_neighbors(mag, config), len(splits)
+
+
+class TestTwoThreadSearch:
+    """Above their gates the exhaustive search with shifts splits the support,
+    and the specmurt re-rank splits every pool, between two threads; each
+    plan must be the one thread's, word for word."""
+
+    @pytest.mark.parametrize("n_targets", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "make_matrix",
+        [
+            lambda rng, f, t: rng.random((f, t)),
+            # values in {0, 1, 2}: distances tie exactly across frames and shifts
+            lambda rng, f, t: rng.integers(0, 3, (f, t)).astype(float),
+            # few distinct integer columns, repeated: exact ties everywhere
+            lambda rng, f, t: rng.integers(0, 3, (f, 4)).astype(float)[:, rng.integers(0, 4, t)],
+            near_tie_matrix,
+        ],
+        ids=["random", "small-integer", "tie-heavy", "near-tie"],
+    )
+    def test_plans_equal_the_one_thread_plans(self, monkeypatch, rng, make_matrix, n_targets):
+        for _ in range(6):
+            f, t = int(rng.integers(4, 48)), int(rng.integers(n_targets + 8, 40))
+            mag = make_matrix(rng, f, t)
+            support = frozenset(rng.choice(t, n_targets, replace=False).tolist())
+            pool = t - n_targets
+            k = int(rng.integers(1, pool // 2 + 1))
+            for variant in kam.VARIANTS:
+                # an odd pool of k + surplus frames, then an even one
+                for surplus in {0, 1 - k % 2, 2 - k % 2}:
+                    config = kam.SeparationConfig(
+                        k=k, delta=int(rng.integers(1, f + 1)), surplus=surplus,
+                        variant=variant, support=support,
+                    )
+                    serial, split, splits = plans_both_ways(monkeypatch, mag, config)
+                    expected = variant.startswith("specmurt") or (
+                        variant == "shift_exhaustive" and n_targets > 1
+                    )
+                    assert splits == expected, (variant, n_targets)
+                    for name in ("targets", "frames", "shifts"):
+                        a, b = getattr(serial, name), getattr(split, name)
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        assert a.tobytes() == b.tobytes(), (variant, name)
+
+    def test_a_pool_of_one_frame(self, monkeypatch, rng):
+        # the caller scores the one column and the worker none
+        config = kam.SeparationConfig(k=1, delta=3, surplus=0, variant="specmurt", support={0, 4})
+        serial, split, splits = plans_both_ways(monkeypatch, rng.random((16, 12)), config)
+        assert splits == 1
+        assert serial.frames.tobytes() == split.frames.tobytes()
+        assert serial.shifts.tobytes() == split.shifts.tobytes()
+
+    @pytest.mark.parametrize(
+        "variant, module, name",
+        [
+            ("shift_exhaustive", shiftkam, "_exhaustive_search"),
+            ("specmurt", specmurt, "_deconvolve"),
+            ("specmurt_pruned", specmurt, "_deconvolve"),
+        ],
+    )
+    def test_failure_in_the_worker_raises_in_the_caller(
+        self, monkeypatch, rng, variant, module, name
+    ):
+        # Only the worker's half fails; its rows would otherwise be returned
+        # unwritten or missing.
+        monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", 0)
+        monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", 0)
+        search = getattr(module, name)
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("the worker's half")
+            return search(*args)
+
+        monkeypatch.setattr(module, name, failing)
+        config = kam.SeparationConfig(k=4, delta=3, surplus=3, variant=variant, support={2, 5, 9})
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="the worker's half"):
+            kam.plan_neighbors(rng.random((16, 30)), config)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_call(self, monkeypatch, rng):
+        monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", 0)
+        monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", 0)
+        before = threading.active_count()
+        for variant in kam.VARIANTS:
+            config = kam.SeparationConfig(k=4, delta=3, variant=variant, support={2, 5, 9})
+            kam.plan_neighbors(rng.random((16, 30)), config)
+            assert threading.active_count() == before
+
+    def test_concurrent_plans_under_rapid_switching(self, monkeypatch, rng):
+        # Four callers, each splitting its search in two, on two cores: every
+        # plan must still be the one-thread plan, so no half writes another's
+        # rows and no call leans on state another call changes.
+        mag = rng.random((24, 60))
+        configs = [
+            kam.SeparationConfig(k=6, delta=5, surplus=5, variant=v, support={3, 17, 18, 40, 59})
+            for v in kam.VARIANTS
+        ]
+        monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", np.inf)
+        monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", np.inf)
+        expected = [kam.plan_neighbors(mag, c) for c in configs]
+        monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", 0)
+        monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", 0)
+        got = [[] for _ in configs]
+
+        def plan_many(i):
+            for _ in range(25):
+                got[i].append(kam.plan_neighbors(mag, configs[i]))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=plan_many, args=(i,)) for i in range(len(configs))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(caller.is_alive() for caller in callers)
+        for want, plans in zip(expected, got):
+            assert len(plans) == 25
+            for plan in plans:
+                assert plan.frames.tobytes() == want.frames.tobytes()
+                assert plan.shifts.tobytes() == want.shifts.tobytes()
+
+    def test_a_failure_in_the_caller_still_joins_the_worker(self):
+        started, release = threading.Event(), threading.Event()
+
+        def worker():
+            started.set()
+            release.wait(5)
+
+        def caller():
+            started.wait(5)
+            release.set()
+            raise KeyError("the caller's half")
+
+        before = threading.active_count()
+        with pytest.raises(KeyError):
+            timefreq._two_threads(caller, worker)
+        assert threading.active_count() == before
 
 
 class TestSeparationConfig:

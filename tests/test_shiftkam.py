@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import neighbor_lists, search_one
+from conftest import near_tie_matrix, neighbor_lists, search_one
 from test_kam import brute_force_knn, median
 
 from sikam import kam, shiftkam
@@ -54,26 +54,6 @@ def per_shift_oracle(mag, target, candidates, k, delta):
         best_shift[better] = d
     order = np.lexsort((best_shift, cands, best))[:k]
     return [(int(cands[i]), int(best_shift[i])) for i in order]
-
-
-def near_tie_matrix(rng, n_bins, n_frames):
-    """Frames whose distances to a flat target tie in exact arithmetic.
-
-    Frame 0 is flat; every other frame holds a random pattern (odd frames) or
-    the previous frame's pattern reversed (even frames) near the middle of
-    the bins. Every shift that keeps the pattern inside the bins, and both
-    orientations, give the same distance to frame 0; only rounding tells them
-    apart, and the matrix-product form rounds differently.
-    """
-    mag = np.zeros((n_bins, n_frames))
-    mag[:, 0] = 0.5
-    quarter = n_bins // 4
-    pattern = None
-    for j in range(1, n_frames):
-        pattern = rng.random(n_bins - 2 * quarter) if j % 2 else pattern[::-1]
-        start = quarter + int(rng.integers(-quarter // 2, quarter // 2 + 1))
-        mag[start : start + len(pattern), j] = pattern
-    return mag
 
 
 def assert_search_matches_oracle(mag, k, delta, targets=None):

@@ -174,6 +174,20 @@ class TestInterferenceClips:
             for j in range(i + 1, len(clips)):
                 assert not np.array_equal(clips[i], clips[j])
 
+    def test_each_clip_is_built_once_and_every_call_gets_a_copy(self, monkeypatch):
+        synth._interference_clip.cache_clear()
+        filtered = []
+        lfilter = synth._lfilter
+        monkeypatch.setattr(synth, "_lfilter", lambda *args: filtered.append(1) or lfilter(*args))
+        first = synth.interference_clip("cough", SR, duration=0.35, seed=4)
+        first[:] = 0.0  # a caller's edit must not reach the next call
+        again = synth.interference_clip("cough", 22050, duration=0.35, seed=4)
+        assert filtered == [1] and again.flags.writeable and np.any(again)
+        synth._interference_clip.cache_clear()
+        fresh = synth.interference_clip("cough", SR, duration=0.35, seed=4)
+        assert filtered == [1, 1]
+        assert again.tobytes() == fresh.tobytes()
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(synth.SynthError):
             synth.interference_clip("sneeze", SR)
@@ -248,13 +262,18 @@ class TestFiltersMatchScipy:
 
     @pytest.mark.parametrize("kind", synth.INTERFERENCE_KINDS)
     @pytest.mark.parametrize("rate", [8000.0, 22050.0, 44100.0])
-    def test_clip_equals_scipy_formula(self, monkeypatch, kind, rate):
+    def test_clip_equals_scipy_formula(self, monkeypatch, request, kind, rate):
         import scipy.signal
 
+        # each side builds its clips anew, and no scipy-built clip stays cached
+        clear = synth._interference_clip.cache_clear
+        clear()
+        request.addfinalizer(clear)
         cases = ((0.35, 1), (0.2, 6))
         clips = [synth.interference_clip(kind, rate, *case) for case in cases]
         monkeypatch.setattr(synth, "_butter", scipy_butter)
         monkeypatch.setattr(synth, "_lfilter", scipy.signal.lfilter)
+        clear()
         for clip, case in zip(clips, cases):
             assert np.array_equal(clip, synth.interference_clip(kind, rate, *case))
 
