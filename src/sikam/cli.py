@@ -221,6 +221,9 @@ def cmd_separate(args) -> int:
         "neighbor_stats": {
             "targets": len(plan),
             "k": config.k,
+            "surplus": config.surplus_used,
+            # true where the search keeps or re-ranks every candidate frame
+            "pool_is_every_candidate": config.k + config.surplus_used == n_frames - len(support),
             "shift_histogram": _shift_histogram(plan),
         },
         "outputs": ["source.wav", "interference.wav"],

@@ -88,6 +88,11 @@ class SeparationConfig:
         if self.variant not in VARIANTS:
             raise KernelError(f"unknown variant {self.variant!r}")
 
+    @property
+    def surplus_used(self) -> int:
+        """The P each pool holds beyond k: ``surplus`` for the pruned variant, else 0."""
+        return self.surplus if self.variant == "specmurt_pruned" else 0
+
 
 def _magnitudes(mag) -> np.ndarray:
     """``mag`` as a float64 array, if it is a 2-D matrix of finite nonnegative reals.
@@ -165,7 +170,7 @@ def plan_neighbors(mag, config: SeparationConfig) -> Plan:
         raise KernelError("support frame index out of range")
     candidates = np.setdiff1d(np.arange(n_frames), support)
     pool = len(candidates)
-    surplus = config.surplus if config.variant == "specmurt_pruned" else 0
+    surplus = config.surplus_used
     for name, need in (("k", config.k), ("k+surplus", config.k + surplus)):
         if pool < need:
             raise KernelError(f"candidate pool ({pool} frames) smaller than {name}={need}")

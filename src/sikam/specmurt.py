@@ -8,13 +8,17 @@ fast deconvolution between the two magnitude columns, and an optional
 pruning stage re-ranks an oversampled pool by true aligned distance.
 
 All targets are searched together: their pools are the baseline search of
-:mod:`sikam.shiftkam` run once on the specmurt matrix. The conjugated real
-half-spectrum of every pooled frame and the reciprocal of its power are
-taken once and shared by all deconvolutions, as is one zero-padded copy of
-the pooled frames that the re-rank reads its shifted columns from; above
-:data:`SPLIT_POOL_ENTRIES` two threads each deconvolve and score one half
-of every pool's columns, to the same bits. That search is the one place
-the deconvolution runs. It and
+:mod:`sikam.shiftkam` run once on the specmurt matrix, unless a pool is to
+hold every candidate. Then the candidates are the one pool every target
+shares, and neither the matrix nor that search is computed; the kept
+neighbors are ordered by (distance, frame, shift), so the plans are those
+of the searched pools. The conjugated real half-spectrum of every pooled
+frame and the reciprocal of its power are taken once and shared by all
+deconvolutions, as is one zero-padded copy of the pooled frames that the
+re-rank reads its shifted columns from; a shared pool's rows are gathered
+once for all targets. Above :data:`SPLIT_POOL_ENTRIES` two threads each
+deconvolve and score one half of every pool's columns, to the same bits.
+That search is the one place the deconvolution runs. It and
 :func:`specmurt_matrix` check no input: :func:`sikam.kam.plan_neighbors`
 does, before any search runs.
 """
@@ -34,9 +38,12 @@ from .timefreq import _two_threads
 # Pool columns x bins from which each target's pool is scored in two halves,
 # one per thread. Means of plan times on a shared 2-core VM, one BLAS thread:
 # an eval-grid scene's pools of 85-87 x 208 took 7.8 ms on two threads against
-# 6.1 ms on one, and of 171-175 x 208 about as long (9.1-10.7 against
-# 10.5-11.5 ms); a 20 s melody's pools of 300 and 900 x 232 took 30 against
-# 41 ms and 77 against 113 ms.
+# 6.1 ms on one, and its shared pools of every candidate, 171-175 x 208,
+# 10.7-12.4 against 8.7-10.2 ms (four interleaved processes per side); a
+# 20 s melody's pools of 300 and 900 x 232 took 30 against 41 ms and 77
+# against 113 ms. With the gate at 2**15, which splits those shared pools,
+# eval-grid's specmurt_pruned cells took 18.5-19.9 ms against 15.8-16.2 ms at
+# 2**16 (perfbench, 20 s runs, 4 alternating pairs; one 2**16 run read 23.1).
 SPLIT_POOL_ENTRIES = 2**16
 
 
@@ -74,27 +81,28 @@ def _inverse_spectra(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _deconvolve(
-    w: np.ndarray, v: np.ndarray, inv_power: np.ndarray, n: int
+    w: np.ndarray, v: np.ndarray, inv_power: np.ndarray, n: int, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``y = h * z`` (circular) for ``h`` against several columns ``z`` of n bins.
 
     ``w`` is the row :func:`_inverse_spectra` gives for ``y``, so
     ``conj(w)`` is the real half-spectrum ``u`` of ``y``, and ``v``,
-    ``inv_power`` the C-ordered rows it gives for the columns. ``v`` is
+    ``inv_power`` the C-ordered rows it gives for the columns. ``out``, a
+    C-ordered complex array of ``v``'s shape that may be ``v`` itself, is
     overwritten by ``u * v * inv_power``, the quotient ``u * conj(v_z) /
     power`` that is half of a Hermitian spectrum whose inverse ``h`` is
-    real. Scaling each (real, imaginary) pair by ``inv_power`` rounds as
-    that division does: numpy divides by a complex number with no imaginary
-    part as a product with the reciprocal of its real part. n is passed
-    because an odd and an even length can have half-spectra of one size.
-    Returns the shift per column that aligns it to ``y`` through
-    :func:`shift_frame`, in ``[-n/2, n/2)``, and the (columns, n) matrix of
-    ``|h|``.
+    real; ``v`` is left as it was unless it is ``out``. Scaling each (real,
+    imaginary) pair by ``inv_power`` rounds as that division does: numpy
+    divides by a complex number with no imaginary part as a product with
+    the reciprocal of its real part. n is passed because an odd and an even
+    length can have half-spectra of one size. Returns the shift per column
+    that aligns it to ``y`` through :func:`shift_frame`, in ``[-n/2,
+    n/2)``, and the (columns, n) matrix of ``|h|``.
     """
-    np.multiply(np.conjugate(w), v, out=v)
-    pairs = v.view(np.float64).reshape(*v.shape, 2)
+    np.multiply(np.conjugate(w), v, out=out)
+    pairs = out.view(np.float64).reshape(*out.shape, 2)
     pairs *= inv_power[..., None]
-    mags = np.fft.irfft(v, n, axis=1)
+    mags = np.fft.irfft(out, n, axis=1)
     np.abs(mags, out=mags)
     # h peaks at the negated displacement of z relative to y; negate it so
     # that shift_frame(z, delta) lines z up with y.
@@ -106,22 +114,30 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     """Neighbor frames and shifts of every target, as two (targets, k) arrays.
 
     The pools of k + surplus frames come from one baseline search on the
-    :func:`specmurt_matrix` of ``data``. The half-spectra of the targets
-    and of every pooled frame are taken once, and so is one zero-padded
-    copy of those frames with every shift in ``[-max_shift, max_shift]`` as
-    a view. Each target then divides and transforms back its pool columns
-    (a silent target or column gets shift 0), clamps the shifts to
-    ``[-max_shift, max_shift]``, gathers its aligned columns from that view
-    and scores them against the target; a pool of at least
+    :func:`specmurt_matrix` of ``data``, unless k + surplus is every
+    candidate: then ``cands`` is the one pool every target shares, and
+    neither the matrix nor that search is computed. The half-spectra of the
+    targets and of every pooled frame are taken once, and so is one
+    zero-padded copy of those frames with every shift in ``[-max_shift,
+    max_shift]`` as a view. Each target then divides and transforms back
+    its pool columns (a silent target or column gets shift 0), clamps the
+    shifts to ``[-max_shift, max_shift]``, gathers its aligned columns from
+    that view and scores them against the target; a shared pool's rows are
+    gathered once for all targets. A pool of at least
     :data:`SPLIT_POOL_ENTRIES` columns x bins is scored in two halves of
     columns, one per thread, each column to the same bits. Each target
-    keeps the k closest; with ``surplus=0`` that only re-ranks the pool
+    keeps the k closest by (distance, frame, shift), an order that does not
+    depend on the pool's; with ``surplus=0`` that only re-ranks the pool
     (the ``specmurt`` variant). Callers make sure k >= 1 and that each
-    target keeps at least k + surplus candidates.
+    target keeps at least k + surplus candidates, so a shared pool holds no
+    target.
     """
     targets = np.asarray(targets, dtype=int)
     n_bins = data.shape[0]
-    pools = _exhaustive_search(specmurt_matrix(data), targets, cands, k + surplus, 0)[0]
+    if k + surplus == len(cands):
+        pools = np.asarray(cands)[None]
+    else:
+        pools = _exhaustive_search(specmurt_matrix(data), targets, cands, k + surplus, 0)[0]
     # Only the pooled frames are transformed: spectra of every frame would
     # be taken before the pool search and outlive it, which raised a 120 s,
     # 38-target plan's tracemalloc peak from 37.9 to 64.9 MB.
@@ -130,13 +146,19 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     v, inv_power = _inverse_spectra(cols)
     windows = _shift_windows(cols.T, max_shift)
     at, target_rows = np.searchsorted(used, pools), v[np.searchsorted(used, targets)]
-    shifts = np.empty(pools.shape, dtype=int)
-    dists = np.empty(pools.shape)
+    shifts = np.empty((len(targets), pools.shape[1]), dtype=int)
+    dists = np.empty(shifts.shape)
 
     def rerank(part: slice) -> None:
         for i, target in enumerate(targets.tolist()):
-            here = at[i, part]
-            lags = _deconvolve(target_rows[i], v[here], inv_power[here], n_bins)[0]
+            if i < len(at):
+                # A target's own pool is gathered afresh and divided in
+                # place; the shared pool is gathered for the first target
+                # only, and every target's quotient goes to one scratch buffer.
+                here = at[i, part]
+                pool_v, pool_inv = v[here], inv_power[here]
+                out = pool_v if len(at) > 1 else np.empty_like(pool_v)
+            lags = _deconvolve(target_rows[i], pool_v, pool_inv, n_bins, out)[0]
             lags = np.clip(lags, -max_shift, max_shift)
             # One C-ordered row per pool frame, the values shift_frame gives;
             # the batched row dot products are the same sums as np.dot on
@@ -152,6 +174,6 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     else:
         rerank(slice(None))
     found = np.empty((2, len(targets), k), dtype=int)
-    for i, frames in enumerate(pools):
+    for i, frames in enumerate(np.broadcast_to(pools, shifts.shape)):
         found[:, i] = _top_k(dists[i], frames, shifts[i], k)
     return found[0], found[1]

@@ -246,6 +246,16 @@ def _mask_backmap(params: TransformParams) -> tuple[np.ndarray, ...]:
     return maps
 
 
+@functools.lru_cache(maxsize=1)
+def _synthesis_window(params: TransformParams) -> tuple[np.ndarray, np.ndarray]:
+    """The Hann window of the resynthesis and its square, both read-only."""
+    window = np.hanning(params.window_length)
+    parts = (window, window * window)
+    for part in parts:  # cached and shared by every caller
+        part.flags.writeable = False
+    return parts
+
+
 def _frame_view(signal: np.ndarray, params: TransformParams) -> np.ndarray:
     """Every frame as a (T, window) strided view of the signal, zero-padded
     once by half a window on each side so frame t is centred on ``t * hop``."""
@@ -390,25 +400,33 @@ def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
     reach = -(-win // hop) - 1
     frames = np.flatnonzero(_covered(changed - reach, 2 * reach + 1, spect.n_frames))
     low, high, w_low, w_high = _mask_backmap(params)
-    w_low, w_high = w_low[:, None], w_high[:, None]
-    window = np.hanning(win)
-    wsq = window * window
-    view = _frame_view(x, params)  # the signal padded once for every block
-    acc = np.zeros((frames[-1] - frames[0]) * hop + win)
+    window, wsq = _synthesis_window(params)
+    # The samples from the first kept frame's start to the last one's end,
+    # zero-padded past the ends of the signal as the analysis pads it: frame
+    # t is row t - frames[0] of the stretch, and acc[0] is sample offset.
+    offset = frames[0] * hop - win // 2
+    size = (frames[-1] - frames[0]) * hop + win
+    lo, hi = max(offset, 0), min(offset + size, len(x))
+    padded = np.zeros(size)
+    padded[lo - offset : hi - offset] = x[lo:hi]
+    stretch = np.lib.stride_tricks.sliding_window_view(padded, win)[::hop]
+    acc = np.zeros(size)
     den = np.zeros_like(acc)
     for start in range(0, len(frames), INVERSE_BLOCK):
         block = frames[start : start + INVERSE_BLOCK]
-        base = spect._base[:, block]
+        # One row per frame: the recorded coefficients are (T, F) rows in memory.
+        base = spect._base.T[block]
         ratio = np.zeros_like(base)
-        np.divide(spect.data[:, block], base, out=ratio, where=base != 0)
-        lin_gain = ratio[low] * w_low + ratio[high] * w_high
-        lin = np.fft.rfft(view[block] * window, axis=1).T
-        segs = np.fft.irfft(lin_gain * lin, n=win, axis=0)
-        for j, t in enumerate(block):
+        np.divide(spect.data.T[block], base, out=ratio, where=base != 0)
+        lin_gain = ratio[:, low] * w_low + ratio[:, high] * w_high
+        lin = np.fft.rfft(stretch[block - frames[0]] * window, axis=1)
+        # numpy's complex product is not commutative to the bit: keep the gain first
+        segs = np.fft.irfft(lin_gain * lin, n=win, axis=1)
+        for seg, t in zip(segs, block.tolist()):
             s = (t - frames[0]) * hop
-            acc[s : s + win] += window * segs[:, j]
+            acc[s : s + win] += window * seg
             den[s : s + win] += wsq
-    del view  # the padded copy goes before the output is allocated
+    del padded, stretch  # the padded copy goes before the output is allocated
     # The samples the changed frames cover get every overlapping frame. For
     # every hop phase the kept frames also hold a sample that all its frames
     # cover, so den.max() and the floor equal those of a full overlap-add.
@@ -416,8 +434,6 @@ def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
     # and hop divides the length) into 0 instead of NaN.
     np.divide(acc, np.maximum(den, den.max() * 1e-12, out=den), out=acc)
     cover = _covered((changed - frames[0]) * hop, win, len(acc))
-    offset = frames[0] * hop - win // 2  # the sample of acc[0]
-    lo, hi = max(offset, 0), min(offset + len(acc), len(x))
     y = x.copy()
     np.copyto(y[lo:hi], acc[lo - offset : hi - offset], where=cover[lo - offset : hi - offset])
     return y

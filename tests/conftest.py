@@ -91,7 +91,7 @@ def deconvolve(y, z):
     whose peak gives the shift.
     """
     v, power = specmurt._inverse_spectra(np.stack([y, z], axis=1))
-    shifts, mags = specmurt._deconvolve(v[0], v[1:], power[1:], len(y))
+    shifts, mags = specmurt._deconvolve(v[0], v[1:], power[1:], len(y), v[1:])
     return int(shifts[0]), mags[0]
 
 

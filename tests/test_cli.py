@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from sikam import cli, evaluate
 from sikam.audio_io import AudioIOError, read_wav, write_wav
+from sikam.timefreq import frames_overlapping, n_frames_for
 
 SR = evaluate.EVAL_PARAMS.sample_rate
 
@@ -245,6 +246,32 @@ class TestSeparateCommand:
             "estimation_masking",
             "resynthesis",
         }
+
+    @pytest.mark.parametrize(
+        "variant, k, p, surplus, every",
+        [
+            ("specmurt-pruned", 10, 20, 20, False),
+            ("specmurt-pruned", 10, None, None, True),  # p: the rest of the pool
+            ("specmurt", 10, 20, 0, False),
+            ("baseline", None, 20, 0, True),  # k: the whole pool
+        ],
+    )
+    def test_report_states_the_surplus_and_whether_the_pool_is_every_candidate(
+        self, demo_scene, demo_wav, tmp_path, variant, k, p, surplus, every
+    ):
+        params, support = demo_scene.params, support_arg(demo_scene)
+        n_frames = n_frames_for(params, len(demo_scene.mixture))
+        pool = n_frames - len(frames_overlapping(params, n_frames, *map(float, support.split(":"))))
+        k = pool if k is None else k
+        p = pool - k if p is None else p
+        argv = ["separate", "--input", str(demo_wav), "--output-dir", str(tmp_path)]
+        argv += ["--variant", variant, "--support", support]
+        assert cli.main(argv + ["--k", str(k), "--p", str(p)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["candidate_pool"] == pool
+        stats = report["neighbor_stats"]
+        assert stats["surplus"] == (p if surplus is None else surplus)
+        assert stats["pool_is_every_candidate"] is every
 
     def test_deterministic_outputs(self, demo_scene, demo_wav, tmp_path):
         outs = []

@@ -551,6 +551,98 @@ class TestTwoThreadSearch:
         assert threading.active_count() == before
 
 
+def per_target_pool_plan(mag, config):
+    """Frames and shifts of a specmurt ``config`` whose k + P is every
+    candidate, found through a pool per target.
+
+    One more candidate, an impulse far louder than any frame, leaves k + P
+    one short of the candidates, so the pools come from the specmurt search;
+    its specmurt row is the farthest from every target's, so each pool is
+    every other frame, the shared pool of the plan without it.
+    """
+    far = np.zeros((len(mag), 1))
+    far[0] = 1e3 * len(mag) * (1 + mag.max())
+    data = np.hstack([mag, far])
+    support = np.array(sorted(config.support))
+    cands = np.setdiff1d(np.arange(data.shape[1]), support)
+    surplus = config.surplus_used
+    assert config.k + surplus == len(cands) - 1
+    return specmurt._pruned_search(data, support, cands, config.k, surplus, config.delta)
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns the list its calls append to."""
+    calls, function = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSharedPool:
+    """Where k + P is every candidate, the specmurt variants skip the pool
+    search and every target re-ranks one shared pool; the plans must be
+    those of a pool per target, word for word."""
+
+    @pytest.mark.parametrize("gate", [0, np.inf], ids=["split", "serial"])
+    @pytest.mark.parametrize("n_targets", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "make_matrix",
+        [
+            lambda rng, f, t: rng.random((f, t)),
+            # values in {0, 1, 2}: distances tie exactly across frames and shifts
+            lambda rng, f, t: rng.integers(0, 3, (f, t)).astype(float),
+            # few distinct integer columns, repeated: exact ties everywhere
+            lambda rng, f, t: rng.integers(0, 3, (f, 4)).astype(float)[:, rng.integers(0, 4, t)],
+            near_tie_matrix,
+        ],
+        ids=["random", "small-integer", "tie-heavy", "near-tie"],
+    )
+    def test_plans_equal_the_per_target_pool_plans(
+        self, monkeypatch, rng, make_matrix, n_targets, gate
+    ):
+        monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", gate)
+        monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", gate)
+        pool_searches = counting(monkeypatch, specmurt, "_exhaustive_search")
+        for _ in range(4):
+            f, t = int(rng.integers(4, 48)), int(rng.integers(n_targets + 2, 40))
+            mag = make_matrix(rng, f, t)
+            mag[:, rng.integers(t)] = 0.0  # a silent target or candidate
+            support = frozenset(rng.choice(t, n_targets, replace=False).tolist())
+            pool = t - n_targets
+            k_pruned = int(rng.integers(1, pool + 1))
+            for variant, k in (("specmurt", pool), ("specmurt_pruned", k_pruned)):
+                config = kam.SeparationConfig(
+                    k=k, delta=int(rng.integers(1, f + 1)), surplus=pool - k,
+                    variant=variant, support=support,
+                )
+                shared = kam.plan_neighbors(mag, config)
+                searched = len(pool_searches)
+                frames, shifts = per_target_pool_plan(mag, config)
+                assert len(pool_searches) == searched + 1
+                assert shared.frames.tobytes() == frames.tobytes(), variant
+                assert shared.shifts.tobytes() == shifts.tobytes(), variant
+        assert len(pool_searches) == 8
+
+    @pytest.mark.parametrize("variant", ["specmurt", "specmurt_pruned"])
+    def test_a_shared_pool_runs_no_specmurt_search(self, monkeypatch, rng, variant):
+        matrices = counting(monkeypatch, specmurt, "specmurt_matrix")
+        pool_searches = counting(monkeypatch, specmurt, "_exhaustive_search")
+        mag, support = rng.random((16, 30)), {2, 5, 9}
+        for k, surplus in ((27, 0), (26, 1), (4, 3), (20, 6)):
+            config = kam.SeparationConfig(
+                k=k, delta=3, surplus=surplus, variant=variant, support=support
+            )
+            pool = config.k + config.surplus_used
+            kam.plan_neighbors(mag, config)
+            assert len(matrices) == len(pool_searches) == int(pool < 27), (k, surplus)
+            matrices.clear()
+            pool_searches.clear()
+
+
 class TestSeparationConfig:
     def test_surplus_defaults_to_twice_k(self):
         assert kam.SeparationConfig(k=25).surplus == 50

@@ -229,7 +229,7 @@ class TestEstimateShiftDeconv:
         eps = 1e-8 * np.abs(v).max(axis=0)
         full = np.abs(np.fft.fft(u[:, None] * np.conj(v) / (np.abs(v) ** 2 + eps**2), axis=0)).T
         spectra, power = specmurt._inverse_spectra(np.column_stack([y, cols]))
-        shifts, half = specmurt._deconvolve(spectra[0], spectra[1:], power[1:], n)
+        shifts, half = specmurt._deconvolve(spectra[0], spectra[1:], power[1:], n, spectra[1:])
         assert half.shape == (40, n)
         assert np.all(np.abs(n * half - full) <= 1e-12 * full.max(axis=1, keepdims=True))
         np.testing.assert_array_equal(shifts, (n // 2 - np.argmax(full, axis=1)) % n - n // 2)

@@ -573,10 +573,12 @@ class TestCaches:
             tf.inverse_logfreq(spect.with_data(spect.data * 0.5))
         assert tf._analysis_kernel.cache_info().currsize == 1
         assert tf._mask_backmap.cache_info().currsize == 1
+        assert tf._synthesis_window.cache_info().currsize == 1
 
     def test_cached_arrays_are_read_only(self, small_params):
         # Every later analysis and resynthesis in the process reads them.
-        for part in (*tf._analysis_kernel(small_params), *tf._mask_backmap(small_params)):
+        cached = (tf._analysis_kernel, tf._mask_backmap, tf._synthesis_window)
+        for part in (part for cache in cached for part in cache(small_params)):
             with pytest.raises(ValueError, match="read-only"):
                 part[0] = 0
 
