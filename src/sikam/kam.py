@@ -10,9 +10,8 @@ specmurt searches (:mod:`sikam.specmurt`); estimation and masking are shared.
 :func:`plan_neighbors` is the one entry point of the searches; it and
 :func:`separation_masks` share the one check of a magnitude matrix, which
 also fixes its working dtype: any real matrix is planned and masked as its
-float64 copy. Above :data:`SPLIT_SEARCH_ENTRIES` the exhaustive search with
-shifts runs on two threads, one half of the support each, to the same
-neighbor sets.
+float64 copy. Each search decides on its own whether to run on two threads
+(:data:`sikam.shiftkam.SPLIT_ENTRIES`), to the same neighbor sets.
 """
 
 from __future__ import annotations
@@ -24,19 +23,9 @@ import numpy as np
 
 from . import shiftkam, specmurt
 from .shiftkam import KernelError, shift_frame
-from .timefreq import ComplexSpectrogram, _two_threads
+from .timefreq import ComplexSpectrogram
 
 VARIANTS = ("baseline", "shift_exhaustive", "specmurt", "specmurt_pruned")
-
-
-# Targets x bins x frames from which the exhaustive search with shifts runs
-# the two halves of the support on two threads. Means of plan times on a
-# shared 2-core VM, one BLAS thread: an eval-grid scene (19-23 targets x 208
-# x 194) took 9.1-10.1 ms on two threads against 7.5-8.0 ms on one, 20 s
-# inputs (16 and 38 targets x 232 x 1,723) 32 against 51 ms and 55 against
-# 93-98 ms. The baseline, one product with no shift, gained nothing at 20 s
-# (3.2 against 3.3 ms, 2.4 against 2.2 ms), so it stays on one thread.
-SPLIT_SEARCH_ENTRIES = 2**21
 
 
 def _integer(name: str, value) -> int:
@@ -177,18 +166,7 @@ def plan_neighbors(mag, config: SeparationConfig) -> Plan:
 
     if config.variant in ("baseline", "shift_exhaustive"):
         delta = 0 if config.variant == "baseline" else config.delta
-
-        def search(targets):
-            return shiftkam._exhaustive_search(data, targets, candidates, config.k, delta)
-
-        if delta and len(support) > 1 and len(support) * data.size >= SPLIT_SEARCH_ENTRIES:
-            # The rounding margin takes the loudest of all frames, so each
-            # half's neighbor sets are those of one search of the support.
-            half = (len(support) + 1) // 2
-            low, high = _two_threads(lambda: search(support[:half]), lambda: search(support[half:]))
-            frames, shifts = np.concatenate([low, high], axis=1)
-        else:
-            frames, shifts = search(support)
+        frames, shifts = shiftkam._exhaustive_search(data, support, candidates, config.k, delta)
     else:
         frames, shifts = specmurt._pruned_search(
             data, support, candidates, config.k, surplus, config.delta

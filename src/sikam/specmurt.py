@@ -16,17 +16,18 @@ of the searched pools. The conjugated real half-spectrum of every pooled
 frame and the reciprocal of its power are taken once and shared by all
 deconvolutions, as is one zero-padded copy of the pooled frames that the
 re-rank reads its shifted columns from; a shared pool's rows are gathered
-once for all targets. Above :data:`SPLIT_POOL_ENTRIES` two threads each
-deconvolve and score one half of every pool's columns, to the same bits.
-That search is the one place the deconvolution runs. It and
-:func:`specmurt_matrix` check no input: :func:`sikam.kam.plan_neighbors`
-does, before any search runs.
+once for all targets. From :data:`sikam.shiftkam.SPLIT_ENTRIES` targets x
+pool columns x bins, two threads each deconvolve and score one half of the
+targets, whole pools each, to the same bits. That search is the one place
+the deconvolution runs. It and :func:`specmurt_matrix` check no input:
+:func:`sikam.kam.plan_neighbors` does, before any search runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import shiftkam
 from .shiftkam import (
     _exhaustive_search,
     _shift_windows,
@@ -34,17 +35,6 @@ from .shiftkam import (
     shift_frame,  # the primitive every returned shift is defined for; no call here
 )
 from .timefreq import _two_threads
-
-# Pool columns x bins from which each target's pool is scored in two halves,
-# one per thread. Means of plan times on a shared 2-core VM, one BLAS thread:
-# an eval-grid scene's pools of 85-87 x 208 took 7.8 ms on two threads against
-# 6.1 ms on one, and its shared pools of every candidate, 171-175 x 208,
-# 10.7-12.4 against 8.7-10.2 ms (four interleaved processes per side); a
-# 20 s melody's pools of 300 and 900 x 232 took 30 against 41 ms and 77
-# against 113 ms. With the gate at 2**15, which splits those shared pools,
-# eval-grid's specmurt_pruned cells took 18.5-19.9 ms against 15.8-16.2 ms at
-# 2**16 (perfbench, 20 s runs, 4 alternating pairs; one 2**16 run read 23.1).
-SPLIT_POOL_ENTRIES = 2**16
 
 
 def specmurt_matrix(mag) -> np.ndarray:
@@ -75,8 +65,8 @@ def _inverse_spectra(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     power **= 2
     power += eps[:, None] ** 2
     np.reciprocal(power, out=power)
-    # C order, so that a row's real and imaginary parts can be viewed as
-    # pairs of floats; rfft along the rows of a transposed matrix is not.
+    # C order, so that gathering a pool copies whole contiguous rows; rfft
+    # along the rows of a transposed matrix leaves them strided.
     return np.conjugate(v, order="C"), power
 
 
@@ -87,21 +77,22 @@ def _deconvolve(
 
     ``w`` is the row :func:`_inverse_spectra` gives for ``y``, so
     ``conj(w)`` is the real half-spectrum ``u`` of ``y``, and ``v``,
-    ``inv_power`` the C-ordered rows it gives for the columns. ``out``, a
-    C-ordered complex array of ``v``'s shape that may be ``v`` itself, is
-    overwritten by ``u * v * inv_power``, the quotient ``u * conj(v_z) /
-    power`` that is half of a Hermitian spectrum whose inverse ``h`` is
-    real; ``v`` is left as it was unless it is ``out``. Scaling each (real,
-    imaginary) pair by ``inv_power`` rounds as that division does: numpy
-    divides by a complex number with no imaginary part as a product with
-    the reciprocal of its real part. n is passed because an odd and an even
-    length can have half-spectra of one size. Returns the shift per column
-    that aligns it to ``y`` through :func:`shift_frame`, in ``[-n/2,
-    n/2)``, and the (columns, n) matrix of ``|h|``.
+    ``inv_power`` the rows it gives for the columns. ``out``, a complex
+    array of ``v``'s shape that may be ``v`` itself, is overwritten by
+    ``u * v * inv_power``, the quotient ``u * conj(v_z) / power`` that is
+    half of a Hermitian spectrum whose inverse ``h`` is real; ``v`` is left
+    as it was unless it is ``out``. Scaling the real and the imaginary parts
+    by ``inv_power`` rounds as that division does, but for the sign of a
+    zero part, which ``|h|`` does not see: numpy divides by a complex number
+    with no imaginary part as a product with the reciprocal of its real
+    part, after adding a zero product to each part. n is passed because an
+    odd and an even length can have half-spectra of one size. Returns the
+    shift per column that aligns it to ``y`` through :func:`shift_frame`,
+    in ``[-n/2, n/2)``, and the (columns, n) matrix of ``|h|``.
     """
     np.multiply(np.conjugate(w), v, out=out)
-    pairs = out.view(np.float64).reshape(*out.shape, 2)
-    pairs *= inv_power[..., None]
+    out.real *= inv_power
+    out.imag *= inv_power
     mags = np.fft.irfft(out, n, axis=1)
     np.abs(mags, out=mags)
     # h peaks at the negated displacement of z relative to y; negate it so
@@ -123,9 +114,10 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     its pool columns (a silent target or column gets shift 0), clamps the
     shifts to ``[-max_shift, max_shift]``, gathers its aligned columns from
     that view and scores them against the target; a shared pool's rows are
-    gathered once for all targets. A pool of at least
-    :data:`SPLIT_POOL_ENTRIES` columns x bins is scored in two halves of
-    columns, one per thread, each column to the same bits. Each target
+    gathered once for all targets. Two targets or more, of at least
+    :data:`sikam.shiftkam.SPLIT_ENTRIES` targets x pool columns x bins, are
+    re-ranked in two halves of targets, one per thread, each target's pool
+    whole and to the same bits. Each target
     keeps the k closest by (distance, frame, shift), an order that does not
     depend on the pool's; with ``surplus=0`` that only re-ranks the pool
     (the ``specmurt`` variant). Callers make sure k >= 1 and that each
@@ -148,31 +140,45 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     at, target_rows = np.searchsorted(used, pools), v[np.searchsorted(used, targets)]
     shifts = np.empty((len(targets), pools.shape[1]), dtype=int)
     dists = np.empty(shifts.shape)
+    split = len(targets) > 1 and shifts.size * n_bins >= shiftkam.SPLIT_ENTRIES
+    shared = len(at) == 1
+    # The buffers a thread reuses from target to target are allocated here,
+    # before any worker starts: one pool's quotients per thread and, where
+    # every target has a pool of its own, that pool's reciprocal powers. A
+    # shared pool's rows are gathered once, here.
+    quotients = np.empty((1 + split, at.shape[1], v.shape[1]), dtype=v.dtype)
+    if shared:
+        spectra = [(v[at[0]], inv_power[at[0]])] * (1 + split)
+    else:
+        spectra = list(zip(quotients, np.empty(quotients.shape)))
 
-    def rerank(part: slice) -> None:
-        for i, target in enumerate(targets.tolist()):
-            if i < len(at):
-                # A target's own pool is gathered afresh and divided in
-                # place; the shared pool is gathered for the first target
-                # only, and every target's quotient goes to one scratch buffer.
-                here = at[i, part]
-                pool_v, pool_inv = v[here], inv_power[here]
-                out = pool_v if len(at) > 1 else np.empty_like(pool_v)
+    def rerank(rows: range, out: np.ndarray, pool_v: np.ndarray, pool_inv: np.ndarray) -> None:
+        for i in rows:
+            here = at[0 if shared else i]
+            if not shared:
+                # A target's own pool is gathered into out and divided in
+                # place; "clip" lets take write into out unbuffered (every
+                # index is in range).
+                np.take(v, here, axis=0, out=pool_v, mode="clip")
+                np.take(inv_power, here, axis=0, out=pool_inv, mode="clip")
             lags = _deconvolve(target_rows[i], pool_v, pool_inv, n_bins, out)[0]
             lags = np.clip(lags, -max_shift, max_shift)
             # One C-ordered row per pool frame, the values shift_frame gives;
             # the batched row dot products are the same sums as np.dot on
             # each row, so distances match a per-frame loop.
             diff = windows[here, max_shift + lags]
-            diff -= data[:, target]
-            dists[i, part] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
-            shifts[i, part] = lags
+            diff -= data[:, targets[i]]
+            dists[i] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+            shifts[i] = lags
 
-    if pools.shape[1] * n_bins >= SPLIT_POOL_ENTRIES:
-        half = (pools.shape[1] + 1) // 2
-        _two_threads(lambda: rerank(slice(half)), lambda: rerank(slice(half, None)))
+    if split:
+        half = (len(targets) + 1) // 2
+        _two_threads(
+            lambda: rerank(range(half), quotients[0], *spectra[0]),
+            lambda: rerank(range(half, len(targets)), quotients[1], *spectra[1]),
+        )
     else:
-        rerank(slice(None))
+        rerank(range(len(targets)), quotients[0], *spectra[0])
     found = np.empty((2, len(targets), k), dtype=int)
     for i, frames in enumerate(np.broadcast_to(pools, shifts.shape)):
         found[:, i] = _top_k(dists[i], frames, shifts[i], k)

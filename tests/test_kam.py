@@ -388,12 +388,40 @@ class TestPlanMemory:
         assert peaks[1] - peaks[0] <= allowed
         assert (lengths[1] ** 2 - lengths[0] ** 2) * 8 > 5 * allowed
 
+    def test_peak_memory_of_the_shift_search_stays_at_one_chunk(self, rng):
+        # Past one chunk of targets, doubling the support adds only the
+        # output rows: the neighbor frames and shifts of each added target.
+        # Twelve recorded runs added 1.7-2.7 KB beyond the output rows.
+        n_bins, n_frames, k = 232, 2000, 50
+        mag = rng.random((n_bins, n_frames))
+        supports = (256, 512)
+        assert supports[0] > shiftkam.CHUNK_ROWS
+        peaks = []
+        for n_targets in supports:
+            support = range(700, 700 + n_targets)
+            config = kam.SeparationConfig(
+                k=k, delta=12, variant="shift_exhaustive", support=support
+            )
+            kam.plan_neighbors(mag, config)  # untraced, so caches fill outside the trace
+            tracemalloc.start()
+            try:
+                kam.plan_neighbors(mag, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        added_rows = 2 * 8 * k * (supports[1] - supports[0])
+        slack = 2**18
+        assert peaks[1] - peaks[0] <= added_rows + slack
+        # one (added targets x T) array of float64 would break the bound
+        assert (supports[1] - supports[0]) * n_frames * 8 > 1.5 * (added_rows + slack)
+
 
 def plans_both_ways(monkeypatch, mag, config):
-    """The plan of ``config`` with both gates closed and with both open, and
-    how many searches the second one split between two threads."""
-    monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", np.inf)
-    monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", np.inf)
+    """The plan of ``config`` with the two-thread gate closed and with it
+    open, and how many calls the second one split between two threads. With
+    the gate open the plan is made twice, each thread folding in one shift
+    at a time and then stacking its shifts; the two must agree word for word."""
+    monkeypatch.setattr(shiftkam, "SPLIT_ENTRIES", np.inf)
     serial = kam.plan_neighbors(mag, config)
     splits = []
 
@@ -401,16 +429,39 @@ def plans_both_ways(monkeypatch, mag, config):
         splits.append(1)
         return timefreq._two_threads(first, second)
 
-    for module in (kam, specmurt):
+    for module in (shiftkam, specmurt):
         monkeypatch.setattr(module, "_two_threads", counted)
-    monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", 0)
-    monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", 0)
-    return serial, kam.plan_neighbors(mag, config), len(splits)
+    monkeypatch.setattr(shiftkam, "SPLIT_ENTRIES", 0)
+    plans = []
+    for stack_entries in (0, np.inf):
+        monkeypatch.setattr(shiftkam, "STACK_ENTRIES", stack_entries)
+        splits.clear()
+        plans.append(kam.plan_neighbors(mag, config))
+    folded, stacked = plans
+    assert folded.frames.tobytes() == stacked.frames.tobytes()
+    assert folded.shifts.tobytes() == stacked.shifts.tobytes()
+    return serial, stacked, len(splits)
+
+
+def scanned_arrays(monkeypatch, *search_args):
+    """The neighbors ``shiftkam._exhaustive_search(*search_args)`` returns,
+    and copies of the best, runner-up and best-shift arrays of each chunk,
+    by the chunk's first target."""
+    chunks, settle = {}, shiftkam._settle
+
+    def recorded(data, targets, outside, margin, best, runner, best_shift, k, delta):
+        chunks[targets[0]] = best.copy(), runner.copy(), best_shift.copy()
+        return settle(data, targets, outside, margin, best, runner, best_shift, k, delta)
+
+    monkeypatch.setattr(shiftkam, "_settle", recorded)
+    found = shiftkam._exhaustive_search(*search_args)
+    monkeypatch.setattr(shiftkam, "_settle", settle)
+    return found, chunks
 
 
 class TestTwoThreadSearch:
-    """Above their gates the exhaustive search with shifts splits the support,
-    and the specmurt re-rank splits every pool, between two threads; each
+    """Above the one gate the exhaustive search with shifts splits its
+    shifts, and the specmurt re-rank its targets, between two threads; each
     plan must be the one thread's, word for word."""
 
     @pytest.mark.parametrize("n_targets", [1, 2, 3, 5])
@@ -441,8 +492,9 @@ class TestTwoThreadSearch:
                         variant=variant, support=support,
                     )
                     serial, split, splits = plans_both_ways(monkeypatch, mag, config)
-                    expected = variant.startswith("specmurt") or (
-                        variant == "shift_exhaustive" and n_targets > 1
+                    # the specmurt pool search has no shifts, so never splits
+                    expected = variant == "shift_exhaustive" or (
+                        variant.startswith("specmurt") and n_targets > 1
                     )
                     assert splits == expected, (variant, n_targets)
                     for name in ("targets", "frames", "shifts"):
@@ -450,18 +502,92 @@ class TestTwoThreadSearch:
                         assert a.dtype == b.dtype and a.shape == b.shape
                         assert a.tobytes() == b.tobytes(), (variant, name)
 
+    @pytest.mark.parametrize("stack_entries", [0, np.inf])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
+    def test_chunks_keep_the_plans(self, monkeypatch, rng, chunk_rows, stack_entries):
+        # Each chunk of targets is scanned and settled on its own; split,
+        # each thread scans every other shift of it, folding in one shift
+        # at a time or reducing a stack of them. A
+        # product of fewer rows may round otherwise, so across chunk sizes
+        # only the neighbors must agree; at one chunk size, the split scan's
+        # arrays are the one-thread arrays to the bit.
+        mag = rng.integers(0, 3, (20, 4)).astype(float)[:, rng.integers(0, 4, 36)]
+        mag[:, :18] = rng.random((20, 18))
+        args = (mag, np.array([1, 4, 7, 20, 22, 30, 35]), np.arange(36), 5, 4)
+        monkeypatch.setattr(shiftkam, "STACK_ENTRIES", stack_entries)
+        monkeypatch.setattr(shiftkam, "SPLIT_ENTRIES", np.inf)
+        whole = shiftkam._exhaustive_search(*args)
+        monkeypatch.setattr(shiftkam, "CHUNK_ROWS", chunk_rows)
+        found, serial = scanned_arrays(monkeypatch, *args)
+        monkeypatch.setattr(shiftkam, "SPLIT_ENTRIES", 0)
+        split_found, split = scanned_arrays(monkeypatch, *args)
+        assert len(serial) == -(-7 // chunk_rows) and serial.keys() == split.keys()
+        for neighbors in (found, split_found):
+            assert [a.tobytes() for a in neighbors] == [a.tobytes() for a in whole]
+        for first, arrays in serial.items():
+            assert [a.tobytes() for a in arrays] == [a.tobytes() for a in split[first]]
+
+    @pytest.mark.parametrize("stack_entries", [0, np.inf])
+    @pytest.mark.parametrize(
+        "aligning, first",
+        [((1, -1), -1), ((1, -2), 1), ((2, -2), -2), ((1, 2), 1), ((-2, -1), -1)],
+    )
+    def test_a_best_reached_twice_keeps_the_first_shift(
+        self, monkeypatch, aligning, first, stack_entries
+    ):
+        # Frame 1 holds two copies of the target's impulse, each lined up
+        # by one of the aligning shifts, so it reaches its best at both:
+        # a negative shift is the worker's, a positive one the caller's. The
+        # shift first in |d| order (0, -1, 1, -2, 2, ...) is kept, as on one
+        # thread, whether each thread folds its shifts or stacks them.
+        monkeypatch.setattr(shiftkam, "STACK_ENTRIES", stack_entries)
+        mag = np.full((24, 6), 0.25)
+        mag[:, 0] = 0.0
+        mag[12, 0] = 1.0
+        mag[:, 1] = 0.0
+        for d in aligning:
+            mag[12 + d, 1] = 1.0
+        args = (mag, np.array([0]), np.arange(1, 6), 2, 3)
+        for gate in (np.inf, 0):
+            monkeypatch.setattr(shiftkam, "SPLIT_ENTRIES", gate)
+            (frames, shifts), chunks = scanned_arrays(monkeypatch, *args)
+            best, runner, best_shift = chunks[0]
+            assert best[0, 1] == runner[0, 1]
+            assert best_shift[0, 1] == first
+            # the tie sends frame 1 to the exact re-score, whose order of
+            # (distance, frame, shift) keeps the smaller shift
+            assert frames[0, 0] == 1 and shifts[0, 0] == min(aligning)
+            if gate:
+                serial = best, runner, best_shift
+        for want, got in zip(serial, (best, runner, best_shift)):
+            assert want.tobytes() == got.tobytes()
+
     def test_a_pool_of_one_frame(self, monkeypatch, rng):
-        # the caller scores the one column and the worker none
+        # the caller re-ranks one target and the worker the other
         config = kam.SeparationConfig(k=1, delta=3, surplus=0, variant="specmurt", support={0, 4})
         serial, split, splits = plans_both_ways(monkeypatch, rng.random((16, 12)), config)
         assert splits == 1
         assert serial.frames.tobytes() == split.frames.tobytes()
         assert serial.shifts.tobytes() == split.shifts.tobytes()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_energies_keep_every_shift_in_range(self, monkeypatch, rng):
+        # Finite magnitudes near 1e200 square to inf, so every approximate
+        # distance is NaN and no scan finds a best shift; every frame keeps
+        # the shift 0, on one thread and on two.
+        mag = 1e200 * (1 + rng.random((16, 12)))
+        config = kam.SeparationConfig(k=3, delta=3, variant="shift_exhaustive", support={2, 5})
+        serial, split, splits = plans_both_ways(monkeypatch, mag, config)
+        assert splits == 1
+        assert not serial.shifts.any()
+        assert serial.frames.tobytes() == split.frames.tobytes()
+        assert serial.shifts.tobytes() == split.shifts.tobytes()
+
     @pytest.mark.parametrize(
         "variant, module, name",
         [
-            ("shift_exhaustive", shiftkam, "_exhaustive_search"),
+            ("shift_exhaustive", shiftkam, "_scan"),
             ("specmurt", specmurt, "_deconvolve"),
             ("specmurt_pruned", specmurt, "_deconvolve"),
         ],
@@ -469,10 +595,9 @@ class TestTwoThreadSearch:
     def test_failure_in_the_worker_raises_in_the_caller(
         self, monkeypatch, rng, variant, module, name
     ):
-        # Only the worker's half fails; its rows would otherwise be returned
-        # unwritten or missing.
-        monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", 0)
-        monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", 0)
+        # Only the worker's half fails; its shifts or rows would otherwise
+        # be missed or returned unwritten.
+        monkeypatch.setattr(shiftkam, "SPLIT_ENTRIES", 0)
         search = getattr(module, name)
 
         def failing(*args):
@@ -488,8 +613,7 @@ class TestTwoThreadSearch:
         assert threading.active_count() == before
 
     def test_no_thread_outlives_a_call(self, monkeypatch, rng):
-        monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", 0)
-        monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", 0)
+        monkeypatch.setattr(shiftkam, "SPLIT_ENTRIES", 0)
         before = threading.active_count()
         for variant in kam.VARIANTS:
             config = kam.SeparationConfig(k=4, delta=3, variant=variant, support={2, 5, 9})
@@ -505,11 +629,9 @@ class TestTwoThreadSearch:
             kam.SeparationConfig(k=6, delta=5, surplus=5, variant=v, support={3, 17, 18, 40, 59})
             for v in kam.VARIANTS
         ]
-        monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", np.inf)
-        monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", np.inf)
+        monkeypatch.setattr(shiftkam, "SPLIT_ENTRIES", np.inf)
         expected = [kam.plan_neighbors(mag, c) for c in configs]
-        monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", 0)
-        monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", 0)
+        monkeypatch.setattr(shiftkam, "SPLIT_ENTRIES", 0)
         got = [[] for _ in configs]
 
         def plan_many(i):
@@ -604,8 +726,7 @@ class TestSharedPool:
     def test_plans_equal_the_per_target_pool_plans(
         self, monkeypatch, rng, make_matrix, n_targets, gate
     ):
-        monkeypatch.setattr(kam, "SPLIT_SEARCH_ENTRIES", gate)
-        monkeypatch.setattr(specmurt, "SPLIT_POOL_ENTRIES", gate)
+        monkeypatch.setattr(shiftkam, "SPLIT_ENTRIES", gate)
         pool_searches = counting(monkeypatch, specmurt, "_exhaustive_search")
         for _ in range(4):
             f, t = int(rng.integers(4, 48)), int(rng.integers(n_targets + 2, 40))

@@ -234,6 +234,37 @@ class TestEstimateShiftDeconv:
         assert np.all(np.abs(n * half - full) <= 1e-12 * full.max(axis=1, keepdims=True))
         np.testing.assert_array_equal(shifts, (n // 2 - np.argmax(full, axis=1)) % n - n // 2)
 
+    @pytest.mark.parametrize("n", [15, 16, 232])
+    @pytest.mark.parametrize("kind", ["random", "tie-heavy", "silent"])
+    def test_quotient_rounds_as_the_division(self, rng, kind, n):
+        # The quotient is u * conj(v) / power to the bit, power = |v|^2 +
+        # eps^2 as _inverse_spectra takes it, but for the sign of a zero
+        # part (numpy's division adds a zero product to each part first);
+        # |h| and the lags are the division's to the bit.
+        if kind == "tie-heavy":
+            cols = rng.integers(0, 3, (n, 4)).astype(float)[:, rng.integers(0, 4, 41)]
+        else:
+            cols = rng.random((n, 41))
+        if kind == "silent":
+            cols[:, [0, 5, 17]] = 0.0
+        spectra, inv_power = specmurt._inverse_spectra(cols)
+        v = np.fft.rfft(cols.T, axis=1)
+        modulus = np.abs(v)
+        eps = 1e-8 * modulus.max(axis=1)
+        eps[eps == 0] = 1.0
+        power = modulus**2 + eps[:, None] ** 2
+        for y in range(3):
+            want = v[y] * np.conjugate(v) / power
+            got = np.empty_like(spectra)
+            shifts, mags = specmurt._deconvolve(spectra[y], spectra, inv_power, n, got)
+            np.testing.assert_array_equal(got, want)
+            parts, want_parts = (np.stack([z.real, z.imag]) for z in (got, want))
+            nonzero = want_parts != 0
+            assert parts[nonzero].tobytes() == want_parts[nonzero].tobytes()
+            h = np.abs(np.fft.irfft(want, n, axis=1))
+            assert mags.tobytes() == h.tobytes()
+            np.testing.assert_array_equal(shifts, (n // 2 - np.argmax(h, axis=1)) % n - n // 2)
+
 
 def pruned_oracle(mag, target, k, surplus, max_shift):
     """The pruned search one pool frame at a time, as a reference."""
