@@ -10,10 +10,11 @@ All targets are searched together, in chunks of at most
 :data:`CHUNK_ROWS`: one matrix product per shift gives approximate
 distances of every frame to every target of a chunk, and a rounding margin
 decides which (frame, shift) pairs need the exact distance, so the neighbor
-sets are those of an exact per-shift comparison. From :data:`SPLIT_ENTRIES`
-a search with shifts runs on two threads without splitting any product:
-each thread takes every other shift of a chunk, one chunk after another.
-The same gate splits the targets of the specmurt re-rank.
+sets are those of an exact per-shift comparison, written chunk by chunk
+into one (2, targets, k) block. From :data:`SPLIT_ENTRIES` a search with
+shifts runs on two threads without splitting any product: each thread
+takes every other shift of a chunk. The same gate splits the targets of
+the specmurt re-rank.
 
 This module owns the search contract (:class:`KernelError`, the shift
 primitive and this engine) that the other kernels import; from
@@ -190,7 +191,6 @@ def _scan(data, cols, energy, dropped, shifts, products, state) -> None:
         (approx,), (second, mask) = products, scratch
         best.fill(np.inf)
         runner.fill(np.inf)
-        best_shift.fill(0)  # kept where no distance is below inf (overflowed energies)
         for d, lost in zip(shifts, dropped):
             lo, hi = max(d, 0), n_bins + min(d, 0)
             np.matmul(cols[lo - d : hi - d].T, data[lo:hi], out=approx)
@@ -232,8 +232,8 @@ def _exhaustive_search(data, targets, cands, k: int, delta: int) -> tuple[np.nda
     ties break by ascending (distance, frame, shift), and a target never
     neighbors itself; callers make sure k >= 1, that each target keeps at
     least k candidates and that delta does not exceed the bin count. Row i
-    of the two (targets, k) results holds the neighbors of target i,
-    closest first.
+    of the two (targets, k) results, halves of one block that each chunk's
+    :func:`_settle` fills in place, holds target i's neighbors, closest first.
 
     The targets are searched in chunks of at most :data:`CHUNK_ROWS`, so
     the working arrays stay (chunk, T) however long the support is. With
@@ -273,9 +273,8 @@ def _exhaustive_search(data, targets, cands, k: int, delta: int) -> tuple[np.nda
     # where one shift at a time takes eight per shift.
     stack = delta + 1 if split and (delta + 1) * rows * n_frames <= STACK_ENTRIES else 1
     buffers = [_buffers(rows, n_frames, stack) for _ in range(1 + split)]
-
-    def search(chunk: slice) -> tuple:
-        """Neighbor frames and shifts of the targets in ``chunk``."""
+    plan = np.empty((2, len(targets), k), dtype=int)
+    for chunk in chunks:
         size = chunk.stop - chunk.start
         # -2 * target is exact, so each product is -2 * (band . target)
         cols = -2.0 * data[:, targets[chunk]]
@@ -295,14 +294,8 @@ def _exhaustive_search(data, targets, cands, k: int, delta: int) -> tuple[np.nda
             _merge(*state[:3], *other[:3])
         else:
             state = scan(0, slice(None))
-        return _settle(data, targets[chunk], outside, margin[chunk], *state[:3], k, delta)
-
-    if count == 1:
-        return search(chunks[0])
-    short, shifts = np.empty((2, len(targets), k), dtype=int)
-    for chunk in chunks:
-        short[chunk], shifts[chunk] = search(chunk)
-    return short, shifts
+        _settle(data, targets[chunk], outside, margin[chunk], *state[:3], plan[:, chunk], delta)
+    return plan[0], plan[1]
 
 
 def _merge(best, runner, best_shift, other_best, other_runner, other_shift) -> None:
@@ -322,21 +315,22 @@ def _merge(best, runner, best_shift, other_best, other_runner, other_shift) -> N
     np.minimum(best, other_best, out=best)
 
 
-def _settle(data, targets, outside, margin, best, runner, best_shift, k: int, delta: int):
-    """Neighbor frames and shifts of ``targets`` from their scanned arrays.
+def _settle(data, targets, outside, margin, best, runner, best_shift, plan, delta: int) -> None:
+    """Write the neighbor frames and shifts of ``targets`` from their scanned arrays.
 
     ``best``, ``runner`` and ``best_shift`` are :func:`_scan`'s (targets, T)
     outputs and ``margin`` the rounding margin of each target's distances;
-    ``best`` is overwritten. Returns two (targets, k) arrays, as
-    :func:`_exhaustive_search` does.
+    ``best`` is overwritten. ``plan`` is their rows of the (2, targets, k)
+    block of frames and shifts that :func:`_exhaustive_search` returns.
     """
+    short, shifts = plan
+    k = short.shape[1]
     best[:, outside] = np.inf
     rows = np.arange(len(targets))[:, None]
     best[rows, targets[:, None]] = np.inf
-    # every target's frames by ascending best; the first k are short-listed,
-    # copied so that the returned frames do not hold the (targets, T) order
+    # every target's frames by ascending best; the first k are short-listed
     order = best.argsort(axis=1)
-    short = order[:, :k].copy()
+    short[:] = order[:, :k]
     center = best[rows, short]
     gap = 2 * margin[:, None]
     # every frame whose best - m reaches the k-th smallest best + m
@@ -350,11 +344,10 @@ def _settle(data, targets, outside, margin, best, runner, best_shift, k: int, de
         | (center[:, 1:] - center[:, :-1] <= gap).any(axis=1)
         | (runner[rows, short] - center <= gap).any(axis=1)
     )
-    shifts = best_shift[rows, short]
+    shifts[:] = best_shift[rows, short]
     for i in unsettled.nonzero()[0].tolist():
         frames = (best[i] <= limit[i]).nonzero()[0]
         tied = runner[i, frames] - best[i, frames] <= gap[i]
         short[i], shifts[i] = _rescore(
             data, targets[i], frames, best_shift[i, frames], tied, k, delta
         )
-    return short, shifts

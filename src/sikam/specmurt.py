@@ -12,14 +12,16 @@ All targets are searched together: their pools are the baseline search of
 hold every candidate. Then the candidates are the one pool every target
 shares, and neither the matrix nor that search is computed; the kept
 neighbors are ordered by (distance, frame, shift), so the plans are those
-of the searched pools. The conjugated real half-spectrum of every pooled
-frame and the reciprocal of its power are taken once and shared by all
-deconvolutions, as is one zero-padded copy of the pooled frames that the
-re-rank reads its shifted columns from; a shared pool's rows are gathered
-once for all targets. From :data:`sikam.shiftkam.SPLIT_ENTRIES` targets x
-pool columns x bins, two threads each deconvolve and score one half of the
-targets, whole pools each, to the same bits. That search is the one place
-the deconvolution runs. It and :func:`specmurt_matrix` check no input:
+of the searched pools. One zero-padded copy of the pooled frames is the
+only copy of them: the re-rank reads its shifted columns from it, and
+the conjugated real half-spectrum of every pooled frame and the
+reciprocal of its power, shared by all deconvolutions, are taken once
+from its zero-shift rows; a shared pool's spectra are gathered once for
+all targets. From :data:`sikam.shiftkam.SPLIT_ENTRIES` targets x pool
+columns x bins, two threads each deconvolve and score one half of the
+targets, whole pools each, to the same bits, and each target's neighbors
+are written in place into its row of the plan. That search is the one
+place the deconvolution runs. It and :func:`specmurt_matrix` check no input:
 :func:`sikam.kam.plan_neighbors` does, before any search runs.
 """
 
@@ -107,22 +109,22 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     The pools of k + surplus frames come from one baseline search on the
     :func:`specmurt_matrix` of ``data``, unless k + surplus is every
     candidate: then ``cands`` is the one pool every target shares, and
-    neither the matrix nor that search is computed. The half-spectra of the
-    targets and of every pooled frame are taken once, and so is one
-    zero-padded copy of those frames with every shift in ``[-max_shift,
-    max_shift]`` as a view. Each target then divides and transforms back
-    its pool columns (a silent target or column gets shift 0), clamps the
-    shifts to ``[-max_shift, max_shift]``, gathers its aligned columns from
-    that view and scores them against the target; a shared pool's rows are
-    gathered once for all targets. Two targets or more, of at least
-    :data:`sikam.shiftkam.SPLIT_ENTRIES` targets x pool columns x bins, are
-    re-ranked in two halves of targets, one per thread, each target's pool
-    whole and to the same bits. Each target
-    keeps the k closest by (distance, frame, shift), an order that does not
-    depend on the pool's; with ``surplus=0`` that only re-ranks the pool
-    (the ``specmurt`` variant). Callers make sure k >= 1 and that each
-    target keeps at least k + surplus candidates, so a shared pool holds no
-    target.
+    neither the matrix nor that search is computed. The one zero-padded
+    copy of the pooled frames and targets, with every shift in
+    ``[-max_shift, max_shift]`` as a view, is the only copy of them; their
+    half-spectra are taken once, from its zero-shift rows. Each target then
+    divides and transforms back its pool columns (a silent target or column
+    gets shift 0), clamps the shifts to ``[-max_shift, max_shift]``, gathers
+    its aligned columns from that view and scores them against the target;
+    a shared pool's spectra are gathered once for all targets. Two targets
+    or more, of at least :data:`sikam.shiftkam.SPLIT_ENTRIES` targets x pool
+    columns x bins, are re-ranked in two halves of targets, one per thread,
+    each target's pool whole and to the same bits. Each target writes the k
+    closest by (distance, frame, shift), an order that does not depend on
+    the pool's, into its row of the plan; with ``surplus=0`` that only
+    re-ranks the pool (the ``specmurt`` variant). Callers make sure k >= 1
+    and that each target keeps at least k + surplus candidates, so a shared
+    pool holds no target.
     """
     targets = np.asarray(targets, dtype=int)
     n_bins = data.shape[0]
@@ -134,13 +136,12 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
     # be taken before the pool search and outlive it, which raised a 120 s,
     # 38-target plan's tracemalloc peak from 37.9 to 64.9 MB.
     used = np.union1d(pools, targets)
-    cols = data[:, used]
-    v, inv_power = _inverse_spectra(cols)
-    windows = _shift_windows(cols.T, max_shift)
-    at, target_rows = np.searchsorted(used, pools), v[np.searchsorted(used, targets)]
-    shifts = np.empty((len(targets), pools.shape[1]), dtype=int)
-    dists = np.empty(shifts.shape)
-    split = len(targets) > 1 and shifts.size * n_bins >= shiftkam.SPLIT_ENTRIES
+    at, target_at = np.searchsorted(used, pools), np.searchsorted(used, targets)
+    del pools  # a view that would keep the pool search's whole block alive
+    windows = _shift_windows(data[:, used].T, max_shift)
+    v, inv_power = _inverse_spectra(windows[:, max_shift].T)
+    plan = np.empty((2, len(targets), k), dtype=int)
+    split = len(targets) > 1 and len(targets) * at.shape[1] * n_bins >= shiftkam.SPLIT_ENTRIES
     shared = len(at) == 1
     # The buffers a thread reuses from target to target are allocated here,
     # before any worker starts: one pool's quotients per thread and, where
@@ -161,15 +162,15 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
                 # index is in range).
                 np.take(v, here, axis=0, out=pool_v, mode="clip")
                 np.take(inv_power, here, axis=0, out=pool_inv, mode="clip")
-            lags = _deconvolve(target_rows[i], pool_v, pool_inv, n_bins, out)[0]
+            lags = _deconvolve(v[target_at[i]], pool_v, pool_inv, n_bins, out)[0]
             lags = np.clip(lags, -max_shift, max_shift)
             # One C-ordered row per pool frame, the values shift_frame gives;
             # the batched row dot products are the same sums as np.dot on
             # each row, so distances match a per-frame loop.
             diff = windows[here, max_shift + lags]
             diff -= data[:, targets[i]]
-            dists[i] = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
-            shifts[i] = lags
+            dists = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+            plan[0, i], plan[1, i] = _top_k(dists, used[here], lags, k)
 
     if split:
         half = (len(targets) + 1) // 2
@@ -179,7 +180,4 @@ def _pruned_search(data, targets, cands, k: int, surplus: int, max_shift: int):
         )
     else:
         rerank(range(len(targets)), quotients[0], *spectra[0])
-    found = np.empty((2, len(targets), k), dtype=int)
-    for i, frames in enumerate(np.broadcast_to(pools, shifts.shape)):
-        found[:, i] = _top_k(dists[i], frames, shifts[i], k)
-    return found[0], found[1]
+    return plan[0], plan[1]

@@ -415,6 +415,34 @@ class TestPlanMemory:
         # one (added targets x T) array of float64 would break the bound
         assert (supports[1] - supports[0]) * n_frames * 8 > 1.5 * (added_rows + slack)
 
+    def test_peak_memory_of_the_pruned_re_rank_grows_with_its_pools(self, rng):
+        # Past one chunk of targets, doubling a specmurt_pruned support may
+        # add the pool search's (2, targets, k + P) block and the plan's
+        # output rows, but no (targets x pool) array of the re-rank: each
+        # target's distances and shifts live only while it is re-ranked.
+        # Four recorded runs added 1,202 KiB, 4.8 KB per added target;
+        # with the re-rank's (targets x pool) distances and shifts and an
+        # assembly pass after it, 3,626-3,678 KiB.
+        n_bins, n_frames, k, surplus = 232, 3000, 100, 200
+        mag = rng.random((n_bins, n_frames))
+        supports = (256, 512)
+        peaks = []
+        for n_targets in supports:
+            config = kam.SeparationConfig(
+                k=k, delta=12, surplus=surplus, variant="specmurt_pruned",
+                support=range(700, 700 + n_targets),
+            )
+            kam.plan_neighbors(mag, config)  # untraced, so caches fill outside the trace
+            tracemalloc.start()
+            try:
+                kam.plan_neighbors(mag, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        added = supports[1] - supports[0]
+        allowed = 2 * 8 * (2 * k + surplus) * added + 2**18
+        assert peaks[1] - peaks[0] <= allowed
+
 
 def plans_both_ways(monkeypatch, mag, config):
     """The plan of ``config`` with the two-thread gate closed and with it
@@ -449,9 +477,9 @@ def scanned_arrays(monkeypatch, *search_args):
     by the chunk's first target."""
     chunks, settle = {}, shiftkam._settle
 
-    def recorded(data, targets, outside, margin, best, runner, best_shift, k, delta):
+    def recorded(data, targets, outside, margin, best, runner, best_shift, plan, delta):
         chunks[targets[0]] = best.copy(), runner.copy(), best_shift.copy()
-        return settle(data, targets, outside, margin, best, runner, best_shift, k, delta)
+        settle(data, targets, outside, margin, best, runner, best_shift, plan, delta)
 
     monkeypatch.setattr(shiftkam, "_settle", recorded)
     found = shiftkam._exhaustive_search(*search_args)
@@ -570,19 +598,36 @@ class TestTwoThreadSearch:
         assert serial.frames.tobytes() == split.frames.tobytes()
         assert serial.shifts.tobytes() == split.shifts.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_overflowing_energies_keep_every_shift_in_range(self, monkeypatch, rng):
-        # Finite magnitudes near 1e200 square to inf, so every approximate
-        # distance is NaN and no scan finds a best shift; every frame keeps
-        # the shift 0, on one thread and on two.
-        mag = 1e200 * (1 + rng.random((16, 12)))
-        config = kam.SeparationConfig(k=3, delta=3, variant="shift_exhaustive", support={2, 5})
-        serial, split, splits = plans_both_ways(monkeypatch, mag, config)
-        assert splits == 1
-        assert not serial.shifts.any()
-        assert serial.frames.tobytes() == split.frames.tobytes()
-        assert serial.shifts.tobytes() == split.shifts.tobytes()
+        # Magnitudes near 1e200 square to inf, every approximate distance
+        # turns NaN and the plans listed support frames, each target among
+        # its own neighbors: such a matrix is rejected before any search.
+        # At the bound sqrt(M / 8) / F**2 no sum overflows, and every
+        # variant plans within the candidates, on one thread and on two.
+        n_bins, support = 16, {2, 5}
+        bound = np.sqrt(np.finfo(float).max / 8) / n_bins**2
+        config = kam.SeparationConfig(k=3, delta=3, support=support)
+        plan = kam.plan_neighbors(rng.random((n_bins, 12)), config)
+        for value in (1e200, np.nextafter(bound, np.inf)):
+            mag = np.full((n_bins, 12), value)
+            for check in (
+                lambda: kam.plan_neighbors(mag, config),
+                lambda: kam.separation_masks(mag, plan),
+            ):
+                with pytest.raises(kam.KernelError, match="reals up to"):
+                    check()
+        mag = bound * (1 - rng.random((n_bins, 12)) / 2)  # in (bound / 2, bound]
+        mag[:, 3] = bound
+        for variant in kam.VARIANTS:
+            config = replace(config, variant=variant)
+            with np.errstate(over="raise", invalid="raise"):
+                kam.separation_masks(mag, kam.plan_neighbors(mag, config))
+            serial, split, splits = plans_both_ways(monkeypatch, mag, config)
+            assert splits == (variant != "baseline")
+            assert not np.isin(serial.frames, list(support)).any(), variant
+            assert np.abs(serial.shifts).max() <= config.delta
+            assert serial.frames.tobytes() == split.frames.tobytes()
+            assert serial.shifts.tobytes() == split.shifts.tobytes()
 
     @pytest.mark.parametrize(
         "variant, module, name",
