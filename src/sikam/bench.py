@@ -96,11 +96,14 @@ def run_bench(sizes, k: int = 16, reps: int = 3, seed: int = 0) -> list[BenchPoi
     process that holds much else slow some sizes more than others; and
     where a process's arrays land in memory biases all of its timings
     alike. None of that belongs to the searches being measured. Raises
-    :class:`KernelError` for fewer than 1 rep, fewer than 2 bins, a shift
-    range outside ``[0, n_bins]`` or a ``k`` outside ``[1, n_frames)``.
+    :class:`KernelError` for fewer than 1 rep, a negative seed, fewer than 2
+    bins, a shift range outside ``[0, n_bins]`` or a ``k`` outside
+    ``[1, n_frames)``, before any interpreter starts.
     """
     if reps < 1:
         raise KernelError(f"reps must be >= 1, got {reps}")
+    if seed < 0:
+        raise KernelError(f"seed must be >= 0, got {seed}")
     sizes = [(int(f), int(t), int(d)) for f, t, d in sizes]
     for n_bins, n_frames, max_shift in sizes:
         if n_bins < 2 or not 0 <= max_shift <= n_bins or not 1 <= k < n_frames:

@@ -241,6 +241,8 @@ def cmd_eval(args) -> int:
         raise UsageError(f"--scenes-per-condition must be >= 1, got {args.scenes_per_condition}")
     if not np.isfinite(args.snr):
         raise UsageError(f"--snr must be a finite number of dB, got {args.snr}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     contents = ("melody", "chords") if args.content == "both" else (args.content,)
     placements = (
         ("repeated", "not_repeated") if args.placement == "both" else (args.placement,)

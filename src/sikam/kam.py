@@ -83,27 +83,35 @@ class SeparationConfig:
         return self.surplus if self.variant == "specmurt_pruned" else 0
 
 
+# Largest-entry exponents left unscaled: within them no search sum overflows below
+# 2**223 bins, and the loudest frames' energies and eps**2 stay normal.
+UNSCALED_EXPONENTS = 64
+
+
 def _magnitudes(mag) -> np.ndarray:
-    """``mag`` as a float64 array, if it is a 2-D matrix of bounded nonnegative reals.
+    """``mag`` as a float64 array, if it is a 2-D matrix of finite nonnegative reals.
 
     Complex, string and object arrays are rejected before any comparison, so
     the search never plans on a real part or fails inside numpy. Every other
     real dtype is cast here, so no later step subtracts booleans, wraps an
     unsigned difference or rounds a mask to an integer or to float32.
 
-    Entries above ``b = sqrt(M / 8) / F**2`` (M the largest double, F bins)
-    fail too. Up to b, a specmurt coefficient is at most F b, a specmurt
-    column's energy (F / 2) (F b)^2 = M / (16 F) and an approximate distance
-    (two energies, twice a dot product) M / (4 F): no search sum overflows.
+    When the largest entry's binary exponent lies outside
+    ±:data:`UNSCALED_EXPONENTS`, the matrix is scaled by the power of two that
+    brings that entry into [0.5, 1). That is exact and changes no plan or mask:
+    distances, energies and margins scale by a power of four, mask ratios not
+    at all. Inside the window the float64 data are returned uncopied.
     """
     data = np.asarray(mag)
-    n_bins = data.shape[0] if data.ndim == 2 else 1
-    bound = np.sqrt(np.finfo(float).max / 8) / max(n_bins, 1) ** 2
-    if data.dtype.kind not in "biuf" or data.ndim != 2 or not np.all((data >= 0) & (data <= bound)):
-        raise KernelError(
-            f"magnitudes must be a finite nonnegative 2-D matrix of reals up to {bound:.4g}"
-        )
-    return data.astype(np.float64, copy=False)
+    if (
+        data.dtype.kind not in "biuf"
+        or data.ndim != 2
+        or not (data.min(initial=0) >= 0 and (high := float(data.max(initial=0))) < np.inf)
+    ):
+        raise KernelError("magnitudes must be a finite nonnegative 2-D matrix of reals")
+    data = data.astype(np.float64, copy=False)
+    exponent = int(np.frexp(high)[1])
+    return data if abs(exponent) <= UNSCALED_EXPONENTS else np.ldexp(data, -exponent)
 
 
 def _medians(data: np.ndarray, frames: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -147,7 +155,7 @@ def plan_neighbors(mag, config: SeparationConfig) -> Plan:
 
     Candidates are all frames outside the support. Before any search runs,
     raises :class:`KernelError` for a ``mag`` that is not 2-D or holds a NaN,
-    a negative or an overflowing entry, a specmurt variant on fewer than 2 bins,
+    an infinite or a negative entry, a specmurt variant on fewer than 2 bins,
     a ``config.delta`` above the bin count, a support frame outside ``[0, T)``
     and a pool short of k (plus surplus for the pruned variant) candidates.
     """

@@ -313,8 +313,9 @@ def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
     Parameters
     ----------
     signal : array_like
-        Mono sample sequence of finite values, at least one analysis window
-        long.
+        Mono sample sequence of finite real numbers (a bool, integer or
+        float dtype: no complex part is dropped and no string parsed), at
+        least one analysis window long.
     params : TransformParams
 
     Returns
@@ -323,7 +324,10 @@ def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
         F x T complex matrix with one column per hop. A pure tone at the
         frequency of bin k peaks in bin k (within one bin).
     """
-    x = np.array(signal, dtype=np.float64)
+    x = np.asarray(signal)
+    if x.dtype.kind not in "biuf":
+        raise TransformError(f"signal samples must be real numbers, got dtype {x.dtype}")
+    x = np.array(x, dtype=np.float64)
     if x.ndim != 1:
         raise TransformError("signal must be one-dimensional")
     if not np.all(np.isfinite(x)):

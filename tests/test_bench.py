@@ -18,14 +18,17 @@ def test_neighbor_count_outside_the_frames_rejected(k):
         bench.run_bench([(16, 24, 2)], k=k, reps=1)
 
 
-@pytest.mark.parametrize("reps", [0, -1])
-def test_fewer_than_one_rep_rejected_before_measuring(monkeypatch, reps):
+@pytest.mark.parametrize(
+    "reps, seed", [(0, 0), (-1, 0), (1, -1)], ids=["0", "-1", "negative-seed"]
+)
+def test_fewer_than_one_rep_rejected_before_measuring(monkeypatch, reps, seed):
+    # a negative seed would fail only inside the measuring interpreter
     def no_interpreter(*args, **kwargs):
         raise AssertionError("a measuring interpreter was started")
 
     monkeypatch.setattr(bench.subprocess, "run", no_interpreter)
-    with pytest.raises(KernelError, match="reps"):
-        bench.run_bench([(16, 24, 2)], k=4, reps=reps)
+    with pytest.raises(KernelError, match="reps" if seed == 0 else "seed"):
+        bench.run_bench([(16, 24, 2)], k=4, reps=reps, seed=seed)
 
 
 def test_specmurt_stage_searches_every_frame_with_the_shift_range(monkeypatch):

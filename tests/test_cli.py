@@ -707,7 +707,9 @@ class TestManifestAsFlags:
 
 
 class TestEvalCommand:
-    @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--delta", "-1"), ("--p", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--k", "0"), ("--delta", "-1"), ("--p", "-1"), ("--seed", "-1")]
+    )
     def test_bad_kernel_settings_exit_2(self, tmp_path, flag, value):
         out = tmp_path / "eval"
         code = cli.main(
@@ -809,7 +811,13 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--reps", "0"], ["--reps", "-1"], ["--k", "0"], ["--sizes", "16:30:17"]],
+        [
+            ["--reps", "0"],
+            ["--reps", "-1"],
+            ["--k", "0"],
+            ["--sizes", "16:30:17"],
+            ["--seed", "-1"],
+        ],
     )
     def test_bad_settings_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "bench.json"

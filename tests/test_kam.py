@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -599,35 +599,61 @@ class TestTwoThreadSearch:
         assert serial.shifts.tobytes() == split.shifts.tobytes()
 
     def test_overflowing_energies_keep_every_shift_in_range(self, monkeypatch, rng):
-        # Magnitudes near 1e200 square to inf, every approximate distance
-        # turns NaN and the plans listed support frames, each target among
-        # its own neighbors: such a matrix is rejected before any search.
-        # At the bound sqrt(M / 8) / F**2 no sum overflows, and every
-        # variant plans within the candidates, on one thread and on two.
+        # Planned as they are, magnitudes near 1e200 square to inf, every
+        # approximate distance turns NaN and the plans list support frames,
+        # each target among its own neighbors. Up to the largest doubles,
+        # every variant plans within the candidates with no floating-point
+        # error, on one thread and on two, as it plans the same matrix
+        # scaled by a power of two to a largest entry in [0.5, 1).
         n_bins, support = 16, {2, 5}
-        bound = np.sqrt(np.finfo(float).max / 8) / n_bins**2
-        config = kam.SeparationConfig(k=3, delta=3, support=support)
-        plan = kam.plan_neighbors(rng.random((n_bins, 12)), config)
-        for value in (1e200, np.nextafter(bound, np.inf)):
-            mag = np.full((n_bins, 12), value)
-            for check in (
-                lambda: kam.plan_neighbors(mag, config),
-                lambda: kam.separation_masks(mag, plan),
-            ):
-                with pytest.raises(kam.KernelError, match="reals up to"):
-                    check()
-        mag = bound * (1 - rng.random((n_bins, 12)) / 2)  # in (bound / 2, bound]
-        mag[:, 3] = bound
-        for variant in kam.VARIANTS:
-            config = replace(config, variant=variant)
-            with np.errstate(over="raise", invalid="raise"):
-                kam.separation_masks(mag, kam.plan_neighbors(mag, config))
-            serial, split, splits = plans_both_ways(monkeypatch, mag, config)
-            assert splits == (variant != "baseline")
-            assert not np.isin(serial.frames, list(support)).any(), variant
-            assert np.abs(serial.shifts).max() <= config.delta
-            assert serial.frames.tobytes() == split.frames.tobytes()
-            assert serial.shifts.tobytes() == split.shifts.tobytes()
+        # up to sqrt(M / 8) / F**2 (M the largest double) no sum of an
+        # unscaled search can overflow
+        overflow_bound = np.sqrt(np.finfo(float).max / 8) / n_bins**2
+        unit = 1 - rng.random((n_bins, 12)) / 2  # in (0.5, 1]
+        unit[:, 3] = 1.0
+        for value in (1e200, np.nextafter(overflow_bound, np.inf), np.finfo(float).max / 2):
+            mag = value * unit
+            unscaled = np.ldexp(mag, -np.frexp(value)[1])
+            for variant in kam.VARIANTS:
+                config = kam.SeparationConfig(k=3, delta=3, variant=variant, support=support)
+                with np.errstate(over="raise", invalid="raise"):
+                    kam.separation_masks(mag, kam.plan_neighbors(mag, config))
+                serial, split, splits = plans_both_ways(monkeypatch, mag, config)
+                assert splits == (variant != "baseline")
+                assert not np.isin(serial.frames, list(support)).any(), variant
+                assert np.abs(serial.shifts).max() <= config.delta
+                expected = kam.plan_neighbors(unscaled, config)
+                for plan in (split, expected):
+                    assert serial.frames.tobytes() == plan.frames.tobytes()
+                    assert serial.shifts.tobytes() == plan.shifts.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @given(st.integers(-1000, 1020))
+    @example(-1000)
+    @example(-530)
+    @example(-65)
+    @example(-64)
+    @example(64)
+    @example(65)
+    @example(600)
+    @example(1020)
+    def test_a_power_of_two_scale_changes_no_plan_or_mask(self, exponent):
+        # Exact scales on both sides of kam.UNSCALED_EXPONENTS. Planned as
+        # they are, a random matrix's specmurt plans change from about
+        # 2**-530 down, where eps**2 underflows, and every variant's from
+        # about 2**500 up, where the searches' sums overflow.
+        rng = np.random.default_rng(1234)
+        for mag in (rng.random((16, 40)), near_tie_matrix(rng, 16, 40)):
+            scaled = np.ldexp(mag, exponent)
+            assert np.array_equal(np.ldexp(scaled, -exponent), mag)  # no bit lost
+            for variant in kam.VARIANTS:
+                config = kam.SeparationConfig(k=3, delta=3, variant=variant, support={2, 5, 9})
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    plans = [kam.plan_neighbors(m, config) for m in (mag, scaled)]
+                    masks = [kam.separation_masks(m, p) for m, p in zip((mag, scaled), plans)]
+                for name in ("frames", "shifts"):
+                    assert getattr(plans[0], name).tobytes() == getattr(plans[1], name).tobytes()
+                assert masks[0].tobytes() == masks[1].tobytes(), variant
 
     @pytest.mark.parametrize(
         "variant, module, name",

@@ -115,6 +115,14 @@ class TestForward:
         with pytest.raises(tf.TransformError, match="non-finite"):
             tf.forward_logfreq(x, small_params)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [np.complex128, np.str_, object])
+    def test_non_real_signal_rejected(self, small_params, dtype):
+        # the same finite real values, held in a dtype that is not real
+        x = np.zeros(4000).astype(dtype)
+        with pytest.raises(tf.TransformError, match="real numbers"):
+            tf.forward_logfreq(x, small_params)
+
     def test_linearity(self, small_params, rng):
         x = rng.standard_normal(4000)
         y = rng.standard_normal(4000)
