@@ -24,6 +24,10 @@ _EXTENSIBLE_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x
 _SUBTYPES = {(_PCM, 16): ("pcm16", "<i2"), (_FLOAT, 32): ("float32", "<f4")}
 _SAMPLE_TYPES = {subtype: dtype for subtype, dtype in _SUBTYPES.values()}
 
+# Sample frames encoded and written at a time, so that a write holds a block's
+# temporaries, not copies of the whole signal.
+WRITE_BLOCK = 2**16
+
 
 def _format_name(tag: int, bits: int) -> str:
     """What an unhandled encoding is called in the error message."""
@@ -130,30 +134,33 @@ def write_wav(path, samples, sample_rate: float, subtype: str = "pcm16") -> None
         raise AudioIOError(
             f"cannot write {path}: {bad} non-finite samples (NaN or infinity)"
         )
-    if subtype == "pcm16":
-        samples = np.clip(np.round(samples * 32768.0), -32768, 32767)
-    data = samples.astype(_SAMPLE_TYPES[subtype])
+    dtype = np.dtype(_SAMPLE_TYPES[subtype])
     tag = _PCM if subtype == "pcm16" else _FLOAT
-    channels, rate = 1 if data.ndim == 1 else data.shape[1], int(rate)
-    align = channels * data.itemsize
+    channels, rate = 1 if samples.ndim == 1 else samples.shape[1], int(rate)
+    align = channels * dtype.itemsize
+    nbytes = len(samples) * align
     try:
-        fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, 8 * data.itemsize)
+        fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, 8 * dtype.itemsize)
         if tag == _PCM:
             header = _chunk(b"fmt ", fmt)
         else:
             # A non-PCM fmt chunk ends in an empty extension, and a fact
             # chunk with the frame count follows it.
-            fact = struct.pack("<I", len(data))
+            fact = struct.pack("<I", len(samples))
             header = _chunk(b"fmt ", fmt + b"\x00\x00") + _chunk(b"fact", fact)
-        header = b"WAVE" + header + b"data" + struct.pack("<I", data.nbytes)
-        riff = b"RIFF" + struct.pack("<I", len(header) + data.nbytes)
+        header = b"WAVE" + header + b"data" + struct.pack("<I", nbytes)
+        riff = b"RIFF" + struct.pack("<I", len(header) + nbytes)
     except struct.error as exc:
         raise AudioIOError(
-            f"cannot write {path}: {data.nbytes} bytes at {rate} Hz do not fit a WAV header"
+            f"cannot write {path}: {nbytes} bytes at {rate} Hz do not fit a WAV header"
         ) from exc
     try:
         with open(path, "wb") as fh:
             fh.write(riff + header)
-            fh.write(data)
+            for start in range(0, len(samples), WRITE_BLOCK):
+                block = samples[start : start + WRITE_BLOCK]
+                if subtype == "pcm16":
+                    block = np.clip(np.round(block * 32768.0), -32768, 32767)
+                fh.write(block.astype(dtype))
     except OSError as exc:
         raise AudioIOError(f"cannot write {path}: {exc}") from exc

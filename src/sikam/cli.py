@@ -15,6 +15,7 @@ smaller than k). Codes 2 and 4 are raised before anything is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import resource
@@ -31,11 +32,14 @@ from .kam import (
     KernelError,
     SeparationConfig,
     plan_neighbors,
-    separation_masks,
+    support_gains,
 )
 from .timefreq import (
     TransformError,
     TransformParams,
+    _mask_backmap,
+    _synthesis_window,
+    _two_threads,
     forward_logfreq,
     frames_overlapping,
     inverse_logfreq,
@@ -134,6 +138,29 @@ def _kernel_config(args, **settings) -> SeparationConfig:
         raise UsageError(str(exc)) from exc
 
 
+@contextlib.contextmanager
+def _timed(name: str, wall: dict, cpu: dict):
+    """Record the block's wall time and the process's CPU time in it under ``name``."""
+    w, c = time.perf_counter(), time.process_time()
+    yield
+    wall[name] = time.perf_counter() - w
+    cpu[name] = time.process_time() - c
+
+
+def _by_parity(step, count: int) -> None:
+    """``step(ch)`` for every channel: the caller takes channels 0, 2, ... and,
+    from two channels on, a worker thread takes 1, 3, ..."""
+
+    def run(first):
+        for ch in range(first, count, 2):
+            step(ch)
+
+    if count == 1:
+        run(0)
+    else:
+        _two_threads(lambda: run(0), lambda: run(1))
+
+
 def cmd_separate(args) -> int:
     if not args.input:
         raise UsageError("no input file given (flag --input or manifest key)")
@@ -141,15 +168,16 @@ def cmd_separate(args) -> int:
     ranges = parse_support_ranges(args.support)
 
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    samples, rate, subtype = read_wav(args.input)
-    timings["read"] = time.perf_counter() - t0
+    cpu: dict[str, float] = {}
+    with _timed("read", timings, cpu):
+        samples, rate, subtype = read_wav(args.input)
 
     params = TransformParams(
         sample_rate=rate, **{name: getattr(args, name) for name in _TRANSFORM_FLAGS}
     )
     # An (n, channels) view, mono included; reshape(n, -1) fails on an empty input.
     channels = np.atleast_2d(samples.T).T
+    n_channels = channels.shape[1]
     duration = channels.shape[0] / rate
     for lo, hi in ranges:
         if lo >= duration:
@@ -157,9 +185,8 @@ def cmd_separate(args) -> int:
                 f"support range {lo}:{hi} lies beyond the {duration:.2f}s input"
             )
 
-    t0 = time.perf_counter()
-    spects = [forward_logfreq(channels[:, ch], params) for ch in range(channels.shape[1])]
-    timings["analysis"] = time.perf_counter() - t0
+    with _timed("analysis", timings, cpu):
+        spects = [forward_logfreq(channels[:, ch], params) for ch in range(n_channels)]
 
     n_frames = spects[0].n_frames
     support: set[int] = set()
@@ -171,53 +198,67 @@ def cmd_separate(args) -> int:
     config = dataclasses.replace(config, support=frozenset(support))
 
     # Shared neighbor sets from the channel-mean magnitude.
-    t0 = time.perf_counter()
-    # A running sum, not a stack of every channel's magnitude; divided by the
-    # count it is the same mean bit for bit.
-    mean_mag = np.zeros(spects[0].data.shape)
-    for ch in range(len(spects)):
-        mean_mag += np.abs(spects[ch].data)
-    mean_mag /= len(spects)
-    plan = plan_neighbors(mean_mag, config)
-    del mean_mag
-    timings["neighbor_search"] = time.perf_counter() - t0
+    with _timed("neighbor_search", timings, cpu):
+        # A running sum, not a stack of every channel's magnitude; divided by
+        # the count it is the same mean bit for bit.
+        mean_mag = np.zeros(spects[0].data.shape)
+        for ch in range(n_channels):
+            mean_mag += np.abs(spects[ch].data)
+        mean_mag /= n_channels
+        plan = plan_neighbors(mean_mag, config)
+        del mean_mag
 
-    # One channel at a time: its input and masked spectrograms go as soon as
-    # its source samples exist, so no spectrogram is alive when writing.
-    timings["estimation_masking"] = timings["resynthesis"] = 0.0
-    source = np.empty(channels.shape)
-    for ch in range(channels.shape[1]):
-        t0 = time.perf_counter()
+    # The channels are split by parity over two threads, first to mask, then
+    # to resynthesize. Each channel's gains are an (F, support) block, and
+    # only its support columns are scaled; its spectrograms go as soon as its
+    # source samples exist, so none is alive when writing. The shared outputs
+    # and the caches the resynthesis reads are made in the caller, before the
+    # threads that use them start.
+    masked = [None] * n_channels
+    _mask_backmap(params)
+    _synthesis_window(params)
+
+    def mask(ch):
         spect, spects[ch] = spects[ch], None
-        masked = spect.with_data(spect.data * separation_masks(np.abs(spect.data), plan))
-        t1 = time.perf_counter()
-        source[:, ch] = inverse_logfreq(masked)
-        del spect, masked
-        timings["estimation_masking"] += t1 - t0
-        timings["resynthesis"] += time.perf_counter() - t1
+        gains = support_gains(np.abs(spect.data), plan)
+        data = spect.data.copy(order="K")
+        data[:, plan.targets] *= gains
+        masked[ch] = spect.with_data(data)
 
-    # Only the source is resynthesized: the interference is what it leaves of
-    # the input, so the two outputs sum to the input by construction.
-    t0 = time.perf_counter()
-    interference = np.subtract(channels, source, out=channels)
-    timings["resynthesis"] += time.perf_counter() - t0
+    def resynthesize(ch):
+        spect, masked[ch] = masked[ch], None
+        inverse_logfreq(spect, out=source[:, ch])
+
+    with _timed("estimation_masking", timings, cpu):
+        _by_parity(mask, n_channels)
+    with _timed("resynthesis", timings, cpu):
+        # allocated after the masking, whose peak it would otherwise raise
+        source = np.empty(channels.shape)
+        _by_parity(resynthesize, n_channels)
+        # Only the source is resynthesized: the interference is what it
+        # leaves of the input, so the two outputs sum to the input by
+        # construction.
+        interference = np.subtract(channels, source, out=channels)
 
     out_dir = _make_dir(Path(args.output_dir))
-    t0 = time.perf_counter()
-    write_wav(out_dir / "source.wav", source, rate, subtype)
-    write_wav(out_dir / "interference.wav", interference, rate, subtype)
-    timings["write"] = time.perf_counter() - t0
+    with _timed("write", timings, cpu):
+        _two_threads(
+            lambda: write_wav(out_dir / "source.wav", source, rate, subtype),
+            lambda: write_wav(out_dir / "interference.wav", interference, rate, subtype),
+        )
 
     report = {
         "config": {
             name: value for name, value in vars(args).items() if name not in ("command", "fn")
         },
         "sample_rate": rate,
-        "channels": channels.shape[1],
+        "channels": n_channels,
         "n_frames": n_frames,
         "support_frames": sorted(support),
         "candidate_pool": n_frames - len(support),
+        # wall seconds of each layer; the CPU seconds of all its threads
         "timings_sec": {k: round(v, 6) for k, v in timings.items()},
+        "cpu_sec": {k: round(v, 6) for k, v in cpu.items()},
         "neighbor_stats": {
             "targets": len(plan),
             "k": config.k,

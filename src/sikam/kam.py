@@ -8,7 +8,7 @@ pick the (frame, shift) neighbors: the baseline and the exhaustive search
 (:mod:`sikam.shiftkam`, the baseline being its zero-shift case) and the
 specmurt searches (:mod:`sikam.specmurt`); estimation and masking are shared.
 :func:`plan_neighbors` is the one entry point of the searches; it and
-:func:`separation_masks` share the one check of a magnitude matrix, which
+:func:`support_gains` share the one check of a magnitude matrix, which
 also fixes its working dtype: any real matrix is planned and masked as its
 float64 copy. Each search decides on its own whether to run on two threads
 (:data:`sikam.shiftkam.SPLIT_ENTRIES`), to the same neighbor sets.
@@ -187,25 +187,32 @@ def plan_neighbors(mag, config: SeparationConfig) -> Plan:
     return Plan(support, frames, shifts)
 
 
-def separation_masks(mag, plan: Plan) -> np.ndarray:
-    """Soft mask matrix for the source of interest: ones outside the support.
+def support_gains(mag, plan: Plan) -> np.ndarray:
+    """The (F, n) soft mask of the support frames, column i that of ``plan.targets[i]``.
 
     ``plan`` comes from :func:`plan_neighbors` on ``mag`` or on a matrix of
     its shape (the CLI plans all channels once), and ``mag`` is checked as
-    there. A support frame's mask is S / (N + S) with S its median estimate
+    there. A support frame's gain is S / (N + S) with S its median estimate
     and N = max(X - S, 0), that is S / max(X, S): it lies in [0, 1], is 1
     where the estimate reaches the observed magnitude X and 0 where both
     vanish. The medians are taken one target at a time, so that no (F, n, K)
-    stack of every target's neighbors is ever held.
+    stack of every target's neighbors is ever held, nor any (F, T) array
+    but the check's float64 copy of another dtype or scale.
     """
     data = _magnitudes(mag)
-    est = np.empty((data.shape[0], len(plan)))
+    gains = np.empty((data.shape[0], len(plan)))
     for i, (frames, shifts) in enumerate(zip(plan.frames, plan.shifts)):
-        est[:, i] = _medians(data, frames[None], shifts[None])[:, 0]
-    denom = np.maximum(data[:, plan.targets], est)
-    np.divide(est, denom, out=est, where=denom > 0)
-    mask = np.ones_like(data)
-    mask[:, plan.targets] = est
+        gains[:, i] = _medians(data, frames[None], shifts[None])[:, 0]
+    denom = np.maximum(data[:, plan.targets], gains)
+    np.divide(gains, denom, out=gains, where=denom > 0)
+    return gains
+
+
+def separation_masks(mag, plan: Plan) -> np.ndarray:
+    """Soft mask matrix of ``mag``: :func:`support_gains` at the support frames, ones elsewhere."""
+    gains = support_gains(mag, plan)
+    mask = np.ones_like(mag, dtype=np.float64)  # in mag's memory order, as the product with it
+    mask[:, plan.targets] = gains
     return mask
 
 

@@ -84,33 +84,27 @@ _MARGIN_PER_BIN = 32 * np.finfo(float).eps
 # Smallest normal double; n_bins of it in the margin cover underflow.
 _TINY = np.finfo(float).tiny
 
+# The measurements behind the next three constants are in CHANGES.md, "Both
+# neighbor searches split".
+
 # Most target rows the exhaustive search scans at a time; a support is cut
-# into as few chunks, of sizes one row apart. A 60 s plan (430 targets x 232
-# bins x 5,168 frames, delta 48, four chunks split by shifts) peaked at
-# 55.6 MiB under tracemalloc, against 87.4 MiB for one array set of every
-# target on one thread, in 2.04-2.06 against 1.92-2.06 s.
+# into as few chunks, of sizes one row apart, so that a long plan's working
+# arrays stay (chunk, T).
 CHUNK_ROWS = 128
 
 # Entries from which a search runs on two threads: targets x bins x frames
 # for the exhaustive search with shifts, targets x pool columns x bins for
-# the specmurt re-rank. Plan times per eval-grid scene (medians over its 16
-# scenes; shared 2-core VM, one BLAS thread): shift_exhaustive (0.77-0.93 M
-# entries) took 6.1-6.5 ms on two threads against 8.0 ms on one,
-# specmurt_pruned's shared pools (0.68-0.84 M) 5.4-5.9 against 7.6-8.0 ms,
-# but specmurt's pools of k (0.34-0.42 M) 5.9-6.5 against 5.5-5.7 ms, so
-# the gate sits between. Criterion 7's calls stay below it: one target of
-# 128 x 160, re-ranks of at most 147 k entries.
+# the specmurt re-rank. The gate sits between the eval-grid searches that ran
+# faster on two threads and those that did not; criterion 7's calls stay
+# below it.
 SPLIT_ENTRIES = 2**19
 
 # Most product entries (shifts x targets x frames) a thread of a split search
 # stacks. Below it a thread computes the products of all its shifts and
-# reduces the stack at once, else it folds in one shift at a time: on
-# eval-grid (at most 49 x 23 x 194 entries) stacking all took 6.1-6.5 ms per
-# plan against 6.8-7.6 ms, and its shift_exhaustive cells in perfbench 17.2
-# against 19.3 ms (medians of ten 40 s runs each, faster in 10 of 10); stacks
-# of 4 shifts took 10.7-11.2 ms per plan, each stack costing a few fixed
-# calls. A search on one thread never stacks, so its cost per shift stays
-# what criterion 7 measures.
+# reduces the stack at once, in fewer calls into numpy, each of which hands
+# the interpreter lock to the other thread; above it the thread folds in one
+# shift at a time. A search on one thread never stacks, so its cost per shift
+# stays what criterion 7 measures.
 STACK_ENTRIES = 2**18
 
 
@@ -156,11 +150,9 @@ def _buffers(rows: int, n_frames: int, stack: int) -> tuple:
     Returns a (stack, rows, T) buffer of products and the (rows, T) best,
     runner and best_shift, then the scratch of one shift at a time (a float
     and a bool array) or, where ``stack`` > 1, of a stack (an int array).
-    The float arrays are one block. glibc gives freed memory back to the
-    system above twice the largest block freed so far, and a search whose
-    arrays outgrow that faults in fresh pages on every call: a batched
-    baseline search of 96 targets x 1,536 frames took 6.4 ms with the
-    float arrays in three blocks and 3.7 ms in one.
+    The float arrays are one block, so that glibc, which gives freed memory
+    back to the system above twice the largest block freed so far, does not
+    fault in fresh pages for them on every call.
     """
     shape = (rows, n_frames)
     floats = np.empty((stack + 2 + (stack == 1), *shape))

@@ -3,23 +3,10 @@
 The forward transform projects short-time frames onto a bank of windowed
 complex exponentials whose center frequencies are geometrically spaced,
 ``f_min * 2**(k / bins_per_octave)``, so transposing a harmonic sound by an
-integer number of bins translates its spectral pattern vertically. Every
-kernel row is even (real part) and odd (imaginary part) about the window
-centre, so the forward transform folds each frame about its centre and does
-half the multiply-adds; it runs over blocks of frames taken from one strided
-view of the signal, never holding the whole frame matrix. The even half
-(real parts) and the odd half (imaginary parts) are independent: one extra
-thread computes the odd half while the caller computes the even one, over
-the same blocks and so to the same bits as one thread doing both. The
-analysed samples are kept alongside the log-domain coefficients.
-Resynthesis finds the frames whose coefficients a mask changed, takes the
-plain linear-frequency STFT of those frames and their overlapping
-neighbours from the kept samples, derives per-bin gains in the log domain,
-maps them back onto the linear grid by a two-tap interpolation, and runs
-weighted overlap-add over them, a block of frames at a time; every sample
-no changed frame touches is the input sample itself. An unmodified
-spectrogram therefore inverts to its input exactly, and masked ones through
-the same path.
+integer number of bins translates its spectral pattern vertically. The
+analysed samples are kept alongside the coefficients: resynthesis applies
+the per-bin gains a mask made to a linear-frequency STFT of the changed
+frames and their neighbours, and every other sample is the input sample.
 """
 
 from __future__ import annotations
@@ -150,19 +137,15 @@ class ComplexSpectrogram:
         return replace(self, data=data)
 
 
-# Frames per block of the forward transform. At the defaults blocks of 128 to
-# 512 frames ran equally fast (one BLAS thread, 20 s of audio), and 64 or 1024
-# ran slower. Each half of the transform holds one block's buffers, a fold of
-# 256 x 2048 and a product of 256 x 232 float64, about 4.5 MiB; both halves'
-# are alive at once, far below the output of a long input. The boundaries fix
-# the coefficients' bits: a block of one frame rounds differently from the
-# same frame in a longer block.
+# Frames per block of each half of the forward transform: the fastest size at
+# the defaults, and small beside the output of a long input (CHANGES.md,
+# "Folded, blocked forward analysis"). The boundaries fix the coefficients'
+# bits: a block of one frame rounds differently from the same frame in a
+# longer block.
 FORWARD_BLOCK = 256
 
-# Kept frames per block of the inverse. At the defaults, on 10 s of audio with
-# every frame changed (one BLAS thread), blocks of 8 or 16 frames ran in 91 ms,
-# 32 in 110 ms and 64 in 147 ms; a block of 16 holds about 3 MB of frames,
-# spectra and gains.
+# Kept frames per block of the inverse: the fastest size at the defaults
+# (CHANGES.md, "Blocked resynthesis").
 INVERSE_BLOCK = 16
 
 
@@ -285,8 +268,8 @@ def _two_threads(first, second) -> tuple:
 
     Returns both results. The worker is joined before this returns, also
     when ``first`` raises, and an exception the worker raised is raised
-    again here, in the caller. The forward transform and the neighbor
-    searches split their work with it.
+    again here, in the caller. The forward transform, the neighbor searches
+    and the CLI's back end split their work with it.
     """
     done, failure = [], []
 
@@ -323,6 +306,11 @@ def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
     ComplexSpectrogram
         F x T complex matrix with one column per hop. A pure tone at the
         frequency of bin k peaks in bin k (within one bin).
+
+    Each frame is folded about the window centre (see
+    :func:`_analysis_kernel`), in blocks of :data:`FORWARD_BLOCK` frames; a
+    worker thread computes the odd half (imaginary parts) while the caller
+    computes the even half, to the bits of one thread doing both.
     """
     x = np.asarray(signal)
     if x.dtype.kind not in "biuf":
@@ -341,11 +329,9 @@ def forward_logfreq(signal, params: TransformParams) -> ComplexSpectrogram:
         )
     cos_half, sin_half = _analysis_kernel(params)
     frames = _frame_view(x, params)
-    # Both halves' buffers are allocated here, before the output. The heap
-    # layout this leaves decides whether later large arrays find a hole: on
-    # the chords20-stereo benchmark workload a process peaked at 157.5-161.9
-    # MB over five input seeds, against 177.6 MB with the buffers allocated
-    # after the output and up to 182 MB with buffers allocated by the worker.
+    # Both halves' buffers are allocated here, before the output: the heap
+    # layout this leaves decides whether later large arrays find a hole, and
+    # so a stereo run's peak RSS (CHANGES.md, "Analysis on two cores").
     rows, n_bins = min(FORWARD_BLOCK, len(frames)), params.n_bins
     even = (np.add, cos_half, frames, np.empty((rows, len(cos_half))), np.empty((rows, n_bins)))
     odd = (np.subtract, sin_half, frames, np.empty((rows, len(sin_half))), np.empty((rows, n_bins)))
@@ -370,7 +356,15 @@ def _covered(starts: np.ndarray, length: int, size: int) -> np.ndarray:
     return np.cumsum(edges[:-1]) > 0
 
 
-def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
+def _copy_into(out: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """``x`` copied into ``out``, or into a new array where ``out`` is None."""
+    if out is None:
+        return x.copy()
+    out[...] = x
+    return out
+
+
+def inverse_logfreq(spect: ComplexSpectrogram, out: np.ndarray | None = None) -> np.ndarray:
     """Resynthesize a (possibly masked) spectrogram back to samples.
 
     The per-bin ratio between the current coefficients and the coefficients
@@ -382,6 +376,10 @@ def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
     frames is returned as analysed. An unmodified spectrogram therefore
     inverts to its input exactly. Raises :class:`TransformError` for a NaN
     or infinite coefficient.
+
+    With ``out``, a float64 array of the signal's shape (a column of a
+    multichannel array, say), the samples are written there and ``out`` is
+    returned; no array the length of the signal is allocated.
     """
     if spect._signal is None or spect._base is None:
         raise TransformError(
@@ -393,13 +391,15 @@ def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
     if spect.data.shape[0] != spect.params.n_bins:
         raise TransformError("data/params mismatch in spectrogram")
     params, x = spect.params, spect._signal
+    if out is not None and (out.dtype != np.float64 or out.shape != x.shape):
+        raise TransformError(f"out must be float64 of shape {x.shape}")
     win, hop = params.window_length, params.hop
     changed = np.flatnonzero(np.any(spect.data != spect._base, axis=0))
     # the recorded coefficients are finite, so a NaN or inf one lies in a changed column
     if not np.isfinite(spect.data[:, changed]).all():
         raise TransformError("spectrogram holds non-finite coefficients")
     if len(changed) == 0:
-        return x.copy()
+        return _copy_into(out, x)
     # Every frame sharing a sample with a changed frame, in ascending order.
     reach = -(-win // hop) - 1
     frames = np.flatnonzero(_covered(changed - reach, 2 * reach + 1, spect.n_frames))
@@ -438,7 +438,7 @@ def inverse_logfreq(spect: ComplexSpectrogram) -> np.ndarray:
     # and hop divides the length) into 0 instead of NaN.
     np.divide(acc, np.maximum(den, den.max() * 1e-12, out=den), out=acc)
     cover = _covered((changed - frames[0]) * hop, win, len(acc))
-    y = x.copy()
+    y = _copy_into(out, x)
     np.copyto(y[lo:hi], acc[lo - offset : hi - offset], where=cover[lo - offset : hi - offset])
     return y
 

@@ -4,6 +4,8 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,16 @@ import scipy.io.wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sikam import cli, evaluate
+from sikam import audio_io, cli, evaluate, kam
 from sikam.audio_io import AudioIOError, read_wav, write_wav
-from sikam.timefreq import frames_overlapping, n_frames_for
+from sikam.timefreq import (
+    TransformError,
+    TransformParams,
+    forward_logfreq,
+    frames_overlapping,
+    inverse_logfreq,
+    n_frames_for,
+)
 
 SR = evaluate.EVAL_PARAMS.sample_rate
 
@@ -68,6 +77,13 @@ def scipy_samples(path):
     return (data / 32768.0 if data.dtype == np.int16 else data.astype(np.float64)), float(rate)
 
 
+def scipy_encoded(x, subtype):
+    """``x`` as the samples scipy writes for a ``subtype`` file."""
+    if subtype == "pcm16":
+        return np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
+    return x.astype(np.float32)
+
+
 def assert_unreadable(path, tmp_path, match):
     with pytest.raises(AudioIOError, match=match):
         read_wav(path)
@@ -113,16 +129,30 @@ class TestAudioIO:
         x = x[:, 0] if channels == 1 else x
         ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
         write_wav(ours, x, 22050.0, subtype)
-        if subtype == "pcm16":
-            data = np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
-        else:
-            data = x.astype(np.float32)
-        scipy.io.wavfile.write(theirs, 22050, data)
+        scipy.io.wavfile.write(theirs, 22050, scipy_encoded(x, subtype))
         assert ours.read_bytes() == theirs.read_bytes()
         y, rate, got = read_wav(ours)
         expected, expected_rate = scipy_samples(theirs)
         assert np.array_equal(y, expected) and y.shape == x.shape
         assert (rate, got) == (expected_rate, subtype)
+
+    @pytest.mark.parametrize("subtype", ["pcm16", "float32"])
+    def test_blocked_write_equals_scipy_and_holds_one_block(self, tmp_path, rng, subtype):
+        # Eight whole blocks and a part, clipped samples in each.
+        x = np.clip(rng.standard_normal((8 * audio_io.WRITE_BLOCK + 1001, 2)) * 0.4, -1.2, 1.2)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+        write_wav(ours, x, 22050.0, subtype)  # untraced, so numpy's caches fill outside
+        tracemalloc.start()
+        try:
+            write_wav(ours, x, 22050.0, subtype)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scipy.io.wavfile.write(theirs, 22050, scipy_encoded(x, subtype))
+        assert ours.read_bytes() == theirs.read_bytes()
+        # the finiteness check's booleans or one block's encoding (2.1 MB
+        # measured for pcm16), not an encoding of all 8.4 MB of samples
+        assert peak < x.nbytes / 3
 
     @pytest.mark.parametrize(
         "chunks",
@@ -240,12 +270,11 @@ class TestSeparateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["neighbor_stats"]["targets"] == len(report["support_frames"])
         assert isinstance(report["peak_rss_mb"], float) and report["peak_rss_mb"] > 0
-        assert set(report["timings_sec"]) >= {
-            "analysis",
-            "neighbor_search",
-            "estimation_masking",
-            "resynthesis",
-        }
+        layers = {"read", "analysis", "neighbor_search", "estimation_masking", "resynthesis", "write"}
+        # wall and CPU seconds of the same layers
+        assert set(report["timings_sec"]) == set(report["cpu_sec"]) == layers
+        for seconds in (report["timings_sec"], report["cpu_sec"]):
+            assert all(isinstance(v, float) and v >= 0 for v in seconds.values())
 
     @pytest.mark.parametrize(
         "variant, k, p, surplus, every",
@@ -584,6 +613,130 @@ evaluate.default_scene_grid("melody", "repeated", n_scenes=4)
             n, _, _ = read_wav(out / "interference.wav")
         assert s.shape == n.shape == x.shape
         assert np.abs(s + n - x).max() <= 1.0 / 32768
+
+
+def multichannel_wav(path, scene, n_channels):
+    """The scene's mixture on ``n_channels`` channels, each with its own gain,
+    delay and noise, as a float32 WAV."""
+    rng = np.random.default_rng(n_channels)
+    x = np.stack(
+        [(1 - 0.2 * ch) * np.roll(scene.mixture, 3 * ch) for ch in range(n_channels)], axis=1
+    )
+    x += 1e-3 * rng.standard_normal(x.shape)
+    write_wav(path, 0.5 * x / np.abs(x).max(), SR, "float32")
+    return path
+
+
+def sequential_separate(path, out, variant, support, k):
+    """What `sikam separate` writes, built one channel at a time: the plan from
+    the channel-mean magnitude, then `separation_masks` and `inverse_logfreq`
+    for each channel in turn."""
+    samples, rate, subtype = read_wav(path)
+    params = TransformParams(sample_rate=rate)
+    spects = [forward_logfreq(samples[:, ch], params) for ch in range(samples.shape[1])]
+    (lo, hi), = cli.parse_support_ranges(support)
+    frames = frames_overlapping(params, spects[0].n_frames, lo, hi)
+    config = kam.SeparationConfig(
+        k=k, variant=cli.VARIANT_BY_FLAG[variant], support=frozenset(frames.tolist())
+    )
+    plan = kam.plan_neighbors(sum(np.abs(s.data) for s in spects) / len(spects), config)
+    source = np.stack(
+        [
+            inverse_logfreq(s.with_data(s.data * kam.separation_masks(np.abs(s.data), plan)))
+            for s in spects
+        ],
+        axis=1,
+    )
+    out.mkdir()
+    write_wav(out / "source.wav", source, rate, subtype)
+    write_wav(out / "interference.wav", samples - source, rate, subtype)
+
+
+class TestChannelSplit:
+    """`separate` masks and resynthesizes channels 0, 2, ... in the caller and
+    1, 3, ... on a worker thread, and writes both outputs at once."""
+
+    @pytest.mark.parametrize("n_channels", [2, 3])
+    @pytest.mark.parametrize("variant", sorted(cli.VARIANT_BY_FLAG))
+    def test_outputs_equal_one_channel_at_a_time(
+        self, demo_scene, tmp_path, n_channels, variant
+    ):
+        path = multichannel_wav(tmp_path / "in.wav", demo_scene, n_channels)
+        support = support_arg(demo_scene)
+        code = cli.main(
+            ["separate", "--input", str(path), "--output-dir", str(tmp_path / "split"),
+             "--variant", variant, "--support", support, "--k", "20"]
+        )
+        assert code == 0
+        sequential_separate(path, tmp_path / "one", variant, support, 20)
+        report = json.loads((tmp_path / "split" / "report.json").read_text())
+        assert report["channels"] == n_channels and report["neighbor_stats"]["targets"] > 0
+        for name in ("source.wav", "interference.wav"):
+            assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_outputs_hold_when_the_threads_switch_every_microsecond(
+        self, demo_scene, tmp_path
+    ):
+        # Five channels, three in the caller and two on the worker, each
+        # thread writing its own entries of the shared lists and columns of
+        # the shared output while the interpreter switches between them.
+        path = multichannel_wav(tmp_path / "in.wav", demo_scene, 5)
+        support = support_arg(demo_scene)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code = cli.main(
+                ["separate", "--input", str(path), "--output-dir", str(tmp_path / "split"),
+                 "--variant", "shift", "--support", support, "--k", "20"]
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        sequential_separate(path, tmp_path / "one", "shift", support, 20)
+        for name in ("source.wav", "interference.wav"):
+            assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_a_channel_failing_on_the_worker_exits_2_before_any_output(
+        self, demo_scene, tmp_path, monkeypatch, capsys
+    ):
+        path = multichannel_wav(tmp_path / "in.wav", demo_scene, 2)
+        calls = []
+
+        def inverse(spect, out=None):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            calls.append(on_worker)
+            if on_worker:
+                raise TransformError("channel 1 cannot be resynthesized")
+            return inverse_logfreq(spect, out=out)
+
+        monkeypatch.setattr(cli, "inverse_logfreq", inverse)
+        out = tmp_path / "out"
+        code = cli.main(
+            ["separate", "--input", str(path), "--output-dir", str(out),
+             "--support", support_arg(demo_scene), "--k", "20"]
+        )
+        assert code == 2
+        assert sorted(calls) == [False, True]  # channel 0 here, channel 1 on the worker
+        assert "channel 1 cannot be resynthesized" in capsys.readouterr().err
+        assert not (out / "source.wav").exists() and not (out / "interference.wav").exists()
+
+    @pytest.mark.parametrize("blocked", ["source.wav", "interference.wav"])
+    def test_a_failing_write_on_either_thread_exits_3(
+        self, demo_scene, tmp_path, capsys, blocked
+    ):
+        # interference.wav is written on the worker thread
+        path = multichannel_wav(tmp_path / "in.wav", demo_scene, 2)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)  # a directory cannot be opened for writing
+        code = cli.main(
+            ["separate", "--input", str(path), "--output-dir", str(out),
+             "--support", support_arg(demo_scene), "--k", "20"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"cannot write {out / blocked}" in err and "Traceback" not in err
+        written = ({"source.wav", "interference.wav"} - {blocked}).pop()
+        assert read_wav(out / written)[0].shape == read_wav(path)[0].shape
 
 
 @pytest.mark.slow

@@ -388,6 +388,32 @@ class TestPlanMemory:
         assert peaks[1] - peaks[0] <= allowed
         assert (lengths[1] ** 2 - lengths[0] ** 2) * 8 > 5 * allowed
 
+    def test_peak_memory_of_the_gain_block_stays_with_the_support(self, rng):
+        # With the support fixed, doubling the frames adds no (F, T) array:
+        # the input check copies nothing of a float64 matrix in range, and
+        # the gains, medians and ratios are (F, targets) or (F, k).
+        n_bins, targets, lengths = 232, 40, (2000, 4000)
+        config = kam.SeparationConfig(k=50, support=range(1000, 1000 + targets))
+        peaks = []
+        for n_frames in lengths:
+            mag = rng.random((n_bins, n_frames))
+            plan = kam.plan_neighbors(mag, config)
+            tracemalloc.start()
+            try:
+                gains = kam.support_gains(mag, plan)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            # the masks scatter the block into ones laid out as the magnitudes,
+            # which are column-major when taken from forward_logfreq
+            for layout in (mag, np.asfortranarray(mag)):
+                mask = kam.separation_masks(layout, plan)
+                assert np.array_equal(mask[:, plan.targets], gains)
+                assert mask.flags.f_contiguous == layout.flags.f_contiguous
+        slack = 2**16
+        assert peaks[1] - peaks[0] <= slack
+        assert n_bins * (lengths[1] - lengths[0]) * 8 > 20 * slack
+
     def test_peak_memory_of_the_shift_search_stays_at_one_chunk(self, rng):
         # Past one chunk of targets, doubling the support adds only the
         # output rows: the neighbor frames and shifts of each added target.

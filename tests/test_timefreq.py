@@ -528,6 +528,36 @@ class TestBlockedInverse:
         assert more_frames * params.window_length * 8 > allowed
 
 
+    def test_out_column_takes_the_samples_without_an_array_of_their_length(self, small_params, rng):
+        # A few changed frames of a long input, resynthesized into a column
+        # of a two-channel array: only the kept stretch's arrays and the
+        # changed-frame search are allocated, nothing of the output's length.
+        n = 2**19
+        spect = tf.forward_logfreq(rng.standard_normal(n), small_params)
+        mask = np.ones(spect.data.shape)
+        mask[:, 2000:2010] = 0.5
+        masked = spect.with_data(spect.data * mask)
+        expected = tf.inverse_logfreq(masked)
+        both = np.zeros((n, 2))
+        tracemalloc.start()
+        try:
+            got = tf.inverse_logfreq(masked, out=both[:, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(got, both)
+        assert np.array_equal(both[:, 1], expected) and not both[:, 0].any()
+        assert peak < n * 8 / 2  # measured: 0.77 MiB of the 4 MiB output
+
+    @pytest.mark.parametrize(
+        "out", [np.empty(4000, dtype=np.float32), np.empty(3999), np.empty((4000, 1))]
+    )
+    def test_out_of_another_dtype_or_shape_rejected(self, small_params, rng, out):
+        spect = tf.forward_logfreq(rng.standard_normal(4000), small_params)
+        with pytest.raises(tf.TransformError, match="out must be float64"):
+            tf.inverse_logfreq(spect.with_data(spect.data * 0.5), out=out)
+
+
 class TestTranslation:
     @pytest.mark.parametrize("d", [3, 7, 12])
     def test_pitch_shift_is_translation(self, d):
