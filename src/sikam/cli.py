@@ -28,12 +28,7 @@ import numpy as np
 from . import bench as benchmod
 from . import evaluate
 from .audio_io import AudioIOError, read_wav, write_wav
-from .kam import (
-    KernelError,
-    SeparationConfig,
-    plan_neighbors,
-    support_gains,
-)
+from .kam import KernelError, SeparationConfig, mask_support, plan_neighbors
 from .timefreq import (
     TransformError,
     TransformParams,
@@ -43,6 +38,7 @@ from .timefreq import (
     forward_logfreq,
     frames_overlapping,
     inverse_logfreq,
+    n_frames_for,
 )
 
 EXIT_OK = 0
@@ -179,23 +175,23 @@ def cmd_separate(args) -> int:
     channels = np.atleast_2d(samples.T).T
     n_channels = channels.shape[1]
     duration = channels.shape[0] / rate
+    n_frames = n_frames_for(params, channels.shape[0])
+    support: set[int] = set()
     for lo, hi in ranges:
         if lo >= duration:
             raise KernelError(
                 f"support range {lo}:{hi} lies beyond the {duration:.2f}s input"
             )
+        # An end past the input covers no more frames, and a huge one would
+        # overflow the sample count.
+        frames = frames_overlapping(params, n_frames, lo, min(hi, duration))
+        if not len(frames):
+            raise KernelError(f"support range {lo}:{hi} is shorter than one sample at {rate:g} Hz")
+        support.update(frames.tolist())
+    config = dataclasses.replace(config, support=frozenset(support))
 
     with _timed("analysis", timings, cpu):
         spects = [forward_logfreq(channels[:, ch], params) for ch in range(n_channels)]
-
-    n_frames = spects[0].n_frames
-    support: set[int] = set()
-    for lo, hi in ranges:
-        # An end past the input covers no more frames, and a huge one would
-        # overflow the sample count.
-        hi = min(hi, duration)
-        support.update(int(t) for t in frames_overlapping(params, n_frames, lo, hi))
-    config = dataclasses.replace(config, support=frozenset(support))
 
     # Shared neighbor sets from the channel-mean magnitude.
     with _timed("neighbor_search", timings, cpu):
@@ -209,10 +205,9 @@ def cmd_separate(args) -> int:
         del mean_mag
 
     # The channels are split by parity over two threads, first to mask, then
-    # to resynthesize. Each channel's gains are an (F, support) block, and
-    # only its support columns are scaled; its spectrograms go as soon as its
-    # source samples exist, so none is alive when writing. The shared outputs
-    # and the caches the resynthesis reads are made in the caller, before the
+    # to resynthesize. Each channel's spectrograms go as soon as its source
+    # samples exist, so none is alive when writing. The shared outputs and
+    # the caches the resynthesis reads are made in the caller, before the
     # threads that use them start.
     masked = [None] * n_channels
     _mask_backmap(params)
@@ -220,10 +215,7 @@ def cmd_separate(args) -> int:
 
     def mask(ch):
         spect, spects[ch] = spects[ch], None
-        gains = support_gains(np.abs(spect.data), plan)
-        data = spect.data.copy(order="K")
-        data[:, plan.targets] *= gains
-        masked[ch] = spect.with_data(data)
+        masked[ch] = mask_support(spect, plan, np.abs(spect.data))
 
     def resynthesize(ch):
         spect, masked[ch] = masked[ch], None

@@ -1,17 +1,12 @@
 """Kernel additive estimation of a dominant source from similar frames.
 
-A kernel assigns to every processed frame a set of K neighbor frames believed
-to contain the same source content; the per-bin median across the neighbors
-is an outlier-resistant estimate of the source magnitude, which turns into a
-soft mask on the complex spectrogram. The kernels differ only in how they
-pick the (frame, shift) neighbors: the baseline and the exhaustive search
-(:mod:`sikam.shiftkam`, the baseline being its zero-shift case) and the
-specmurt searches (:mod:`sikam.specmurt`); estimation and masking are shared.
-:func:`plan_neighbors` is the one entry point of the searches; it and
-:func:`support_gains` share the one check of a magnitude matrix, which
-also fixes its working dtype: any real matrix is planned and masked as its
-float64 copy. Each search decides on its own whether to run on two threads
-(:data:`sikam.shiftkam.SPLIT_ENTRIES`), to the same neighbor sets.
+A kernel gives every support frame K (frame, shift) neighbors believed to
+hold the same source content: :func:`plan_neighbors` runs the baseline or
+exhaustive search (:mod:`sikam.shiftkam`) or a specmurt search
+(:mod:`sikam.specmurt`). The per-bin median of the neighbors estimates the
+source, :func:`support_gains` turns it into a soft mask of the support
+frames and :func:`mask_support` applies it there; every other frame passes
+through.
 """
 
 from __future__ import annotations
@@ -128,7 +123,9 @@ def _medians(data: np.ndarray, frames: np.ndarray, shifts: np.ndarray) -> np.nda
     if shifts.any():
         stack = shift_frame(stack, shifts.ravel())
     kth = (frames.shape[1] - 1) // 2
-    return np.partition(stack.reshape(len(data), *frames.shape), kth, axis=2)[:, :, kth]
+    # C-ordered, so each partition runs along contiguous neighbors
+    stack = np.ascontiguousarray(stack).reshape(len(data), *frames.shape)
+    return np.partition(stack, kth, axis=2)[:, :, kth]
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,12 +205,15 @@ def support_gains(mag, plan: Plan) -> np.ndarray:
     return gains
 
 
-def separation_masks(mag, plan: Plan) -> np.ndarray:
-    """Soft mask matrix of ``mag``: :func:`support_gains` at the support frames, ones elsewhere."""
-    gains = support_gains(mag, plan)
-    mask = np.ones_like(mag, dtype=np.float64)  # in mag's memory order, as the product with it
-    mask[:, plan.targets] = gains
-    return mask
+def mask_support(spect: ComplexSpectrogram, plan: Plan, mag) -> ComplexSpectrogram:
+    """``spect`` with its ``plan.targets`` columns scaled by :func:`support_gains` of ``mag``.
+
+    The coefficients are copied in their memory order, column-major from
+    :func:`~sikam.timefreq.forward_logfreq`, and no (F, T) mask is made.
+    """
+    data = spect.data.copy(order="K")
+    data[:, plan.targets] *= support_gains(mag, plan)
+    return spect.with_data(data)
 
 
 def separate(
@@ -221,12 +221,10 @@ def separate(
 ) -> tuple[ComplexSpectrogram, ComplexSpectrogram]:
     """Split a spectrogram into source and interference estimates.
 
-    Support frames get the variant's median estimate turned into a soft mask;
-    all other frames pass through unchanged into the source. The
+    The source is :func:`mask_support` under the variant's plan, and the
     interference is the input minus the source, as the CLI takes it. Raises
     :class:`KernelError` as :func:`plan_neighbors` does.
     """
     mag = np.abs(spect.data)
-    mask = separation_masks(mag, plan_neighbors(mag, config))
-    source = spect.with_data(spect.data * mask)
+    source = mask_support(spect, plan_neighbors(mag, config), mag)
     return source, spect.with_data(spect.data - source.data)

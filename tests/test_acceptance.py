@@ -342,7 +342,7 @@ def test_criterion_9_masks_and_complementarity():
                 pool,
             )
             mag = np.abs(spect.data)
-            mask = kam.separation_masks(mag, kam.plan_neighbors(mag, cfg))
+            mask = kam.support_gains(mag, kam.plan_neighbors(mag, cfg))
             if mask.min() < 0.0 or mask.max() > 1.0:
                 mask_ok = False
             source, interference = kam.separate(spect, cfg)
@@ -355,7 +355,7 @@ def test_criterion_9_masks_and_complementarity():
         cfg = SeparationConfig(k=8, delta=6, variant="shift_exhaustive",
                                support=frozenset(range(10, 16)))
         mag = np.abs(spect.data)
-        mask = kam.separation_masks(mag, kam.plan_neighbors(mag, cfg))
+        mask = kam.support_gains(mag, kam.plan_neighbors(mag, cfg))
         mask_ok = mask_ok and mask.min() >= 0.0 and mask.max() <= 1.0
         source, interference = kam.separate(spect, cfg)
         resid = np.abs(source.data + interference.data - spect.data).max()

@@ -363,6 +363,47 @@ class TestSeparateCommand:
             sources.append((out / "source.wav").read_bytes())
         assert sources[0] == sources[1]
 
+    @pytest.mark.parametrize("support", ["1.0:1.00001", "1.99999:5.0"])
+    def test_support_shorter_than_one_sample_exits_4_before_any_output(
+        self, tmp_path, capsys, support
+    ):
+        # Both ends round to the same sample, in the input or at its end, so
+        # the range would map to no frame and be dropped.
+        path = tmp_path / "in.wav"
+        write_wav(path, 0.1 * np.random.default_rng(0).standard_normal(2 * 44100), 44100)
+        out = tmp_path / "out"
+        argv = ["separate", "--input", str(path), "--output-dir", str(out), "--k", "20"]
+        assert cli.main(argv + ["--support", support]) == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"support range {support} is shorter than one sample at 44100 Hz" in err
+        # a range of one sample holds a frame
+        assert cli.main(argv + ["--support", "0.998458:0.998481"]) == 0
+        assert json.loads((out / "report.json").read_text())["support_frames"]
+
+    @pytest.mark.parametrize("variant", sorted(cli.VARIANT_BY_FLAG))
+    def test_mono_outputs_equal_kam_separate(self, demo_scene, demo_wav, tmp_path, variant):
+        # the command masks through the same step as the library's separate
+        support = support_arg(demo_scene)
+        code = cli.main(
+            ["separate", "--input", str(demo_wav), "--output-dir", str(tmp_path / "cli"),
+             "--variant", variant, "--support", support, "--k", "20"]
+        )
+        assert code == 0
+        x, rate, subtype = read_wav(demo_wav)
+        params = TransformParams(sample_rate=rate)
+        spect = forward_logfreq(x, params)
+        frames = frames_overlapping(params, spect.n_frames, *map(float, support.split(":")))
+        config = kam.SeparationConfig(
+            k=20, variant=cli.VARIANT_BY_FLAG[variant], support=frozenset(frames.tolist())
+        )
+        source = inverse_logfreq(kam.separate(spect, config)[0])
+        (tmp_path / "lib").mkdir()
+        write_wav(tmp_path / "lib" / "source.wav", source, rate, subtype)
+        write_wav(tmp_path / "lib" / "interference.wav", x - source, rate, subtype)
+        for name in ("source.wav", "interference.wav"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
     def test_empty_support_passes_input_through(self, demo_wav, tmp_path):
         out = tmp_path / "out"
         code = cli.main(
@@ -629,8 +670,9 @@ def multichannel_wav(path, scene, n_channels):
 
 def sequential_separate(path, out, variant, support, k):
     """What `sikam separate` writes, built one channel at a time: the plan from
-    the channel-mean magnitude, then `separation_masks` and `inverse_logfreq`
-    for each channel in turn."""
+    the channel-mean magnitude, then each channel in turn multiplied by its
+    full mask (`support_gains` at the support frames, ones elsewhere) and
+    resynthesized by `inverse_logfreq`."""
     samples, rate, subtype = read_wav(path)
     params = TransformParams(sample_rate=rate)
     spects = [forward_logfreq(samples[:, ch], params) for ch in range(samples.shape[1])]
@@ -640,13 +682,13 @@ def sequential_separate(path, out, variant, support, k):
         k=k, variant=cli.VARIANT_BY_FLAG[variant], support=frozenset(frames.tolist())
     )
     plan = kam.plan_neighbors(sum(np.abs(s.data) for s in spects) / len(spects), config)
-    source = np.stack(
-        [
-            inverse_logfreq(s.with_data(s.data * kam.separation_masks(np.abs(s.data), plan)))
-            for s in spects
-        ],
-        axis=1,
-    )
+
+    def masked(s):
+        mask = np.ones(s.data.shape)
+        mask[:, plan.targets] = kam.support_gains(np.abs(s.data), plan)
+        return s.with_data(s.data * mask)
+
+    source = np.stack([inverse_logfreq(masked(s)) for s in spects], axis=1)
     out.mkdir()
     write_wav(out / "source.wav", source, rate, subtype)
     write_wav(out / "interference.wav", samples - source, rate, subtype)

@@ -150,7 +150,7 @@ class TestMedianEstimate:
 
 
 def soft_mask(s, x):
-    """The mask ``separation_masks`` gives observed magnitudes ``x`` for estimate ``s``.
+    """The gains ``support_gains`` gives observed magnitudes ``x`` for estimate ``s``.
 
     The matrix is ``[s | x]``, and target column i of ``x`` has column i of
     ``s`` as its only neighbour, at shift 0: the median of one column is that
@@ -158,7 +158,7 @@ def soft_mask(s, x):
     """
     n = np.shape(s)[1]
     plan = kam.Plan(np.arange(n, 2 * n), np.arange(n)[:, None], np.zeros((n, 1), dtype=int))
-    return kam.separation_masks(np.concatenate([s, x], axis=1), plan)[:, n:]
+    return kam.support_gains(np.concatenate([s, x], axis=1), plan)
 
 
 class TestSoftMask:
@@ -229,10 +229,10 @@ class TestSoftMask:
             expected = kam.plan_neighbors(mag.astype(np.float64), config)
             for name in ("targets", "frames", "shifts"):
                 np.testing.assert_array_equal(getattr(plan, name), getattr(expected, name))
-            mask = kam.separation_masks(mag, plan)
-            assert mask.dtype == np.float64
+            gains = kam.support_gains(mag, plan)
+            assert gains.dtype == np.float64
             np.testing.assert_array_equal(
-                mask, kam.separation_masks(mag.astype(np.float64), expected)
+                gains, kam.support_gains(mag.astype(np.float64), expected)
             )
 
 
@@ -263,9 +263,32 @@ class TestSeparate:
         )
         source, interference = kam.separate(spect, config)
         mag = np.abs(spect.data)
-        mask = kam.separation_masks(mag, kam.plan_neighbors(mag, config))
+        plan = kam.plan_neighbors(mag, config)
+        mask = np.ones(mag.shape)
+        mask[:, plan.targets] = kam.support_gains(mag, plan)
         assert np.array_equal(source.data, spect.data * mask)
         assert np.array_equal(interference.data, spect.data - source.data)
+
+    def test_mask_support_scales_the_support_columns_in_the_coefficients_order(
+        self, rng, small_params
+    ):
+        # forward_logfreq lays the coefficients out column-major; the masked
+        # copy keeps that order (a C-ordered one is kept too), and only the
+        # support columns change
+        spect = self._spect(rng, small_params)
+        assert spect.data.flags.f_contiguous
+        config = kam.SeparationConfig(k=4, support=frozenset({8, 9, 10}))
+        mag = np.abs(spect.data)
+        plan = kam.plan_neighbors(mag, config)
+        gains = kam.support_gains(mag, plan)
+        for layout in (spect, spect.with_data(np.ascontiguousarray(spect.data))):
+            masked = kam.mask_support(layout, plan, mag)
+            assert masked.data.flags.f_contiguous == layout.data.flags.f_contiguous
+            assert masked.data.flags.c_contiguous == layout.data.flags.c_contiguous
+            assert np.array_equal(masked.data[:, plan.targets], spect.data[:, plan.targets] * gains)
+            rest = np.setdiff1d(np.arange(spect.n_frames), plan.targets)
+            assert masked.data[:, rest].tobytes() == spect.data[:, rest].tobytes()
+            assert layout.data.tobytes() == spect.data.tobytes()  # the input is left as it was
 
     def test_pool_smaller_than_k_rejected(self, rng, small_params):
         spect = self._spect(rng, small_params)
@@ -361,7 +384,7 @@ class TestSeparate:
         with pytest.raises(kam.KernelError, match=gate):
             kam.plan_neighbors(bad, config)
         with pytest.raises(kam.KernelError, match=gate):
-            kam.separation_masks(bad, plan)
+            kam.support_gains(bad, plan)
 
 
 class TestPlanMemory:
@@ -400,16 +423,10 @@ class TestPlanMemory:
             plan = kam.plan_neighbors(mag, config)
             tracemalloc.start()
             try:
-                gains = kam.support_gains(mag, plan)
+                kam.support_gains(mag, plan)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            # the masks scatter the block into ones laid out as the magnitudes,
-            # which are column-major when taken from forward_logfreq
-            for layout in (mag, np.asfortranarray(mag)):
-                mask = kam.separation_masks(layout, plan)
-                assert np.array_equal(mask[:, plan.targets], gains)
-                assert mask.flags.f_contiguous == layout.flags.f_contiguous
         slack = 2**16
         assert peaks[1] - peaks[0] <= slack
         assert n_bins * (lengths[1] - lengths[0]) * 8 > 20 * slack
@@ -643,7 +660,7 @@ class TestTwoThreadSearch:
             for variant in kam.VARIANTS:
                 config = kam.SeparationConfig(k=3, delta=3, variant=variant, support=support)
                 with np.errstate(over="raise", invalid="raise"):
-                    kam.separation_masks(mag, kam.plan_neighbors(mag, config))
+                    kam.support_gains(mag, kam.plan_neighbors(mag, config))
                 serial, split, splits = plans_both_ways(monkeypatch, mag, config)
                 assert splits == (variant != "baseline")
                 assert not np.isin(serial.frames, list(support)).any(), variant
@@ -676,7 +693,7 @@ class TestTwoThreadSearch:
                 config = kam.SeparationConfig(k=3, delta=3, variant=variant, support={2, 5, 9})
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     plans = [kam.plan_neighbors(m, config) for m in (mag, scaled)]
-                    masks = [kam.separation_masks(m, p) for m, p in zip((mag, scaled), plans)]
+                    masks = [kam.support_gains(m, p) for m, p in zip((mag, scaled), plans)]
                 for name in ("frames", "shifts"):
                     assert getattr(plans[0], name).tobytes() == getattr(plans[1], name).tobytes()
                 assert masks[0].tobytes() == masks[1].tobytes(), variant
